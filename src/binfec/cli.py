@@ -52,10 +52,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
                          reduction_poly=DEFAULT_POLY[r])
 
     stripes = bytes_to_stripes(data, k, r)
-    codewords = (BatchCodec(cp, bt).encode(stripes) if len(stripes)
-                 else np.empty((0, cp.n), dtype=np.uint16))
+    codewords = BatchCodec(cp, bt).encode(stripes)
     paths = write_shards(args.outdir, header, codewords)
-    print(f"wrote {len(paths)} shards ({len(stripes)} stripes, k={k}, n={cp.n}) "
+    print(f"wrote {len(paths)} shards ({stripes.shape[1]} stripes, k={k}, n={cp.n}) "
           f"to {args.outdir}")
     return 0
 
@@ -75,17 +74,18 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if stripes == 0:
         data = b""
     elif all(j in columns for j in range(k)):
-        matrix = np.column_stack([columns[j] for j in range(k)])
+        matrix = np.stack([columns[j] for j in range(k)])
         data = stripes_to_bytes(matrix, header.r, header.original_length)
     else:
         cp = CodeParams(header.r, k)
         ft = tables_for(header.r, header.reduction_poly)
         bt = build_basis_tables(ft, n)
-        received = np.zeros((stripes, n), dtype=np.uint16)
+        codec = BatchCodec(cp, bt)
+        received = np.zeros((n, stripes), dtype=codec.dtype)
         for j, col in columns.items():
-            received[:, j] = col
+            received[j] = col
         erased = {j for j in range(n) if j not in columns}
-        messages = BatchCodec(cp, bt).decode(received, erased)
+        messages = codec.decode(received, erased)
         data = stripes_to_bytes(messages, header.r, header.original_length)
 
     with open(args.output, "wb") as fh:

@@ -123,10 +123,10 @@ def run_selftest(out: Callable[[str], None] = print) -> int:
     cp = CodeParams(8, 128)
     codec = BatchCodec(cp, bt)
     msgs = np.array([[rng.randrange(256) for _ in range(128)] for _ in range(8)],
-                    dtype=np.uint16)
+                    dtype=np.uint16).T
     enc = codec.encode(msgs)
-    ok = all(encode(cp, bt, [int(x) for x in row]).symbols == [int(x) for x in full]
-             for row, full in zip(msgs, enc))
+    ok = all(encode(cp, bt, [int(x) for x in col]).symbols == [int(x) for x in full]
+             for col, full in zip(msgs.T, enc.T))
     erased = set(rng.sample(range(256), 128))
     dec = codec.decode(enc, erased)
     ok = ok and (dec == msgs).all()

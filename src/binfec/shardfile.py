@@ -17,7 +17,10 @@ Stripe s of a file covers its bytes [s*k*w, (s+1)*k*w) where w = r/8;
 symbol j of that stripe is bytes [j*w, (j+1)*w) of the slice.  Data
 shards (index < k) therefore carry the original bytes verbatim, and
 the file is padded with zeros up to a whole number of stripes (the
-header's original length says where to cut on reassembly).
+header's original length says where to cut on reassembly).  In memory
+a file is a shard-major (shards x stripes) symbol array: row j is
+shard j's payload as stored, so the file's bytes are the transpose of
+its k data rows, and writing or reading a shard moves one row.
 """
 
 from __future__ import annotations
@@ -107,19 +110,19 @@ def _symbol_dtype(r: int) -> np.dtype:
 
 
 def bytes_to_stripes(data: bytes, k: int, r: int) -> np.ndarray:
-    """Pack file bytes into a (stripes x k) symbol matrix, zero-padded."""
+    """File bytes as a read-only (k x stripes) symbol view, zero-padded."""
     width = r // 8
     stripe_bytes = k * width
     pad = -len(data) % stripe_bytes
     if pad:
         data = data + b"\0" * pad
     flat = np.frombuffer(data, dtype=_symbol_dtype(r))
-    return flat.reshape(-1, k).astype(np.uint16)
+    return flat.reshape(-1, k).T
 
 
 def stripes_to_bytes(matrix: np.ndarray, r: int, length: int) -> bytes:
-    """Reassemble file bytes from a (stripes x k) matrix, cut to length."""
-    return matrix.astype(_symbol_dtype(r)).tobytes()[:length]
+    """Reassemble file bytes from a (k x stripes) array, cut to length."""
+    return matrix.T.astype(_symbol_dtype(r), copy=False).tobytes()[:length]
 
 
 def shard_filename(index: int) -> str:
@@ -127,7 +130,7 @@ def shard_filename(index: int) -> str:
 
 
 def write_shards(outdir: str, header: ShardHeader, codewords: np.ndarray) -> list[str]:
-    """Write one shard file per codeword column; returns the paths."""
+    """Write one shard file per row of (n x stripes) codewords; returns the paths."""
     os.makedirs(outdir, exist_ok=True)
     dtype = _symbol_dtype(header.r)
     paths = []
@@ -135,7 +138,7 @@ def write_shards(outdir: str, header: ShardHeader, codewords: np.ndarray) -> lis
         path = os.path.join(outdir, shard_filename(j))
         with open(path, "wb") as fh:
             fh.write(header.with_index(j).pack())
-            fh.write(codewords[:, j].astype(dtype).tobytes())
+            fh.write(codewords[j].astype(dtype, copy=False).tobytes())
         paths.append(path)
     return paths
 
@@ -144,7 +147,7 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, np.ndarray], l
     """Read shard files, keeping the ones consistent with each other.
 
     Returns the consensus header (shard_index zeroed), a map from shard
-    index to its symbol column, and human-readable notes about files
+    index to its symbol row, and human-readable notes about files
     that were skipped.  Consensus is the first parseable header; any
     shard disagreeing with it on a shared field counts as missing.
     """
@@ -164,16 +167,16 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, np.ndarray], l
         elif not header.same_file(consensus):
             skipped.append(f"{path}: header disagrees with other shards")
             continue
-        payload = raw[HEADER_SIZE:]
+        size = len(raw) - HEADER_SIZE
         expected = header.stripe_count * header.symbol_width
-        if len(payload) != expected:
-            skipped.append(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+        if size != expected:
+            skipped.append(f"{path}: payload is {size} bytes, expected {expected}")
             continue
         if header.shard_index in columns:
             skipped.append(f"{path}: duplicate shard index {header.shard_index}")
             continue
         columns[header.shard_index] = np.frombuffer(
-            payload, dtype=_symbol_dtype(header.r)).astype(np.uint16)
+            raw, dtype=_symbol_dtype(header.r), offset=HEADER_SIZE)
     if consensus is None:
         raise InsufficientShardsError("no readable shard files found")
     return consensus, columns, skipped

@@ -20,6 +20,8 @@ import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .field import FieldTables
 
 # ResidueVec: a list of ints in [0, modulus), transformed in place.
@@ -48,28 +50,34 @@ def fwht(data: ResidueVec, modulus: int) -> ResidueVec:
     n = len(data)
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    half = 1
-    while half < n:
-        step = half << 1
-        for c in range(0, n, step):
-            for j in range(c, c + half):
-                x = data[j]
-                y = data[j + half]
-                data[j] = (x + y) % modulus
-                data[j + half] = (x - y) % modulus
-        half = step
+    data[:] = _fwht(np.array(data, dtype=np.int64), modulus).tolist()
     return data
 
 
-_fwht_log_cache: "weakref.WeakKeyDictionary[FieldTables, list[int]]" = (
+def _fwht(a: np.ndarray, modulus: int) -> np.ndarray:
+    """fwht() on an int64 array, in place: one reshape per level."""
+    half = 1
+    while half < len(a):
+        pairs = a.reshape(-1, 2, half)
+        x, y = pairs[:, 0], pairs[:, 1]
+        diff = x - y
+        x += y
+        x %= modulus
+        np.remainder(diff, modulus, out=y)
+        half <<= 1
+    return a
+
+
+_fwht_log_cache: "weakref.WeakKeyDictionary[FieldTables, np.ndarray]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _fwht_of_log(ft: FieldTables) -> list[int]:
+def _fwht_of_log(ft: FieldTables) -> np.ndarray:
     cached = _fwht_log_cache.get(ft)
     if cached is None:
-        cached = fwht(list(ft.log), ft.mult_order)
+        cached = _fwht(np.array(ft.log, dtype=np.int64), ft.mult_order)
+        cached.flags.writeable = False
         _fwht_log_cache[ft] = cached
     return cached
 
@@ -96,20 +104,16 @@ def locator_values(ft: FieldTables, erasures: Iterable[int]) -> LocatorValues:
             raise ValueError(f"erasure position {e} outside field of size {n}")
 
     m = ft.mult_order
-    indicator = [0] * n
-    for e in erased:
-        indicator[e] = 1
-    fwht(indicator, m)
-    flog = _fwht_of_log(ft)
-    mixed = [(a * b) % m for a, b in zip(indicator, flog)]
-    fwht(mixed, m)
+    indicator = np.zeros(n, dtype=np.int64)
+    indicator[positions] = 1
+    mixed = _fwht(indicator, m) * _fwht_of_log(ft) % m
+    values = np.asarray(ft.exp)[_fwht(mixed, m)].tolist()
 
-    exp = ft.exp
     pi_bar: dict[int, int] = {}
     pi_prime: dict[int, int] = {}
-    for j in range(n):
+    for j, value in enumerate(values):
         if j in erased:
-            pi_prime[j] = exp[mixed[j]]
+            pi_prime[j] = value
         else:
-            pi_bar[j] = exp[mixed[j]]
+            pi_bar[j] = value
     return LocatorValues(pi_bar, pi_prime)

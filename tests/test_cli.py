@@ -4,6 +4,7 @@ import random
 import pytest
 
 from binfec.cli import main
+from binfec.rs import CodeParams, encode
 from binfec.shardfile import HEADER_SIZE, shard_filename
 
 
@@ -57,6 +58,19 @@ def test_data_shards_hold_original_bytes(tmp_path):
     for j in (0, 1, 127):
         raw = (outdir / shard_filename(j)).read_bytes()
         assert raw[HEADER_SIZE:] == bytes([j])
+
+
+def test_shard_payloads_are_scalar_codeword_symbols(tmp_path, bt8):
+    k = 16
+    data = random.Random(107).randbytes(5 * k + 7)  # 6 stripes, the last one short
+    outdir = _encode(tmp_path, data, k=k)
+    padded = data + bytes(-len(data) % k)
+    cp = CodeParams(8, k)
+    codewords = [encode(cp, bt8, list(padded[s:s + k])).symbols
+                 for s in range(0, len(padded), k)]
+    for j in range(256):
+        raw = (outdir / shard_filename(j)).read_bytes()
+        assert raw[HEADER_SIZE:] == bytes(cw[j] for cw in codewords)
 
 
 def test_empty_file(tmp_path):

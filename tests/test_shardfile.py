@@ -51,25 +51,25 @@ def test_header_fields_little_endian():
 def test_stripe_packing_r8_is_verbatim_bytes():
     data = bytes(range(200))
     mat = bytes_to_stripes(data, k=128, r=8)
-    assert mat.shape == (2, 128)
-    assert mat[0, 5] == 5
-    assert mat[1, 200 - 128] == 0  # zero padding
+    assert mat.shape == (128, 2)
+    assert mat[5, 0] == 5
+    assert mat[200 - 128, 1] == 0  # zero padding
     assert stripes_to_bytes(mat, 8, len(data)) == data
 
 
 def test_stripe_packing_r16_little_endian():
     data = bytes([0x01, 0x02, 0x03, 0x04])
     mat = bytes_to_stripes(data, k=2, r=16)
-    assert mat.shape == (1, 2)
+    assert mat.shape == (2, 1)
     assert mat[0, 0] == 0x0201
-    assert mat[0, 1] == 0x0403
+    assert mat[1, 0] == 0x0403
     assert stripes_to_bytes(mat, 16, 4) == data
 
 
 def test_write_and_read_shards_round_trip(tmp_path):
     rng = np.random.default_rng(91)
     header = _header(log2_k=2, original_length=12)  # k=4, 3 stripes
-    codewords = rng.integers(0, 256, (3, 256), dtype=np.uint16)
+    codewords = rng.integers(0, 256, (256, 3), dtype=np.uint16)
     paths = write_shards(str(tmp_path), header, codewords)
     assert len(paths) == 256
     consensus, columns, skipped = read_shards(paths)
@@ -77,12 +77,12 @@ def test_write_and_read_shards_round_trip(tmp_path):
     assert consensus.same_file(header)
     assert set(columns) == set(range(256))
     for j in (0, 17, 255):
-        assert (columns[j] == codewords[:, j]).all()
+        assert (columns[j] == codewords[j]).all()
 
 
 def test_read_shards_skips_mismatched_headers(tmp_path):
     header = _header(log2_k=2, original_length=12)
-    codewords = np.zeros((3, 256), dtype=np.uint16)
+    codewords = np.zeros((256, 3), dtype=np.uint16)
     paths = write_shards(str(tmp_path), header, codewords)
     # rewrite one shard with a different geometry: treated as missing
     alien = _header(log2_k=3, original_length=12, shard_index=7)
@@ -95,7 +95,7 @@ def test_read_shards_skips_mismatched_headers(tmp_path):
 
 def test_read_shards_skips_short_payloads(tmp_path):
     header = _header(log2_k=2, original_length=12)
-    paths = write_shards(str(tmp_path), header, np.zeros((3, 256), dtype=np.uint16))
+    paths = write_shards(str(tmp_path), header, np.zeros((256, 3), dtype=np.uint16))
     with open(paths[3], "ab") as fh:
         fh.write(b"\0")  # payload now one byte too long
     _, columns, skipped = read_shards(paths)
