@@ -9,7 +9,7 @@ and the systematic codec (`encode`, `decode`).  The CLI in
 """
 
 from .basis import BasisTables, build_basis_tables
-from .derivative import derivative_direct, derivative_fast, w_prime_const
+from .derivative import derivative_direct, derivative_fast
 from .field import DEFAULT_POLY, FieldParams, FieldTables, build_tables, tables_for
 from .rs import (
     CodeParams,
@@ -64,5 +64,4 @@ __all__ = [
     "poly_mul",
     "shorten",
     "tables_for",
-    "w_prime_const",
 ]

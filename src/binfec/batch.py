@@ -3,22 +3,9 @@
 Stripes are independent codewords that share one butterfly schedule, so
 the shard CLI stores a file's codewords shard-major: an (n x stripes)
 array whose row j is shard j's payload, exactly as it sits on disk.
-Every butterfly level is then one reshape of the array into
-(blocks, 2, half * stripes), where each block's u and v halves are
-contiguous runs of whole rows and the block shares a single factor, so
-a level multiplies each block by one constant.  The shift's block
-needs no special case: its factor is W_i(0) = 0 by linearity.  The
-derivative is one XOR of reshaped halves per level.  The arithmetic
-and the results equal the scalar transform symbol for symbol (tests
-pin this against the scalar codec).
-
-Multiplying a run of symbols by one constant takes one of two routes,
-one per field width.  At r=8 symbols are uint8 and a 256 x 256 product
-table turns the multiply into a gather of one table row, done in
-chunks so the gather's index buffer stays small.  At r=16 a product
-table would not fit, so symbols are uint16 and the multiply adds logs
-and looks the sum up in an exp table stored twice over, which makes a
-modular reduction unnecessary; zero operands are masked explicitly.
+The codec runs the same pipeline as binfec.rs, but on all stripes at
+once through the row kernels of binfec.transform and
+binfec.derivative; binfec.rs is their one-stripe view.
 """
 
 from __future__ import annotations
@@ -26,11 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import BasisTables
+from .derivative import derivative_rows
 from .rs import CodeParams, TooManyErasuresError
+from .transform import forward_rows, inverse_rows, mul_rows, symbol_dtype
 from .walsh import locator_values
-
-# Symbols per table gather at r=8; its index buffer is 8 bytes a symbol.
-_CHUNK = 1 << 16
 
 
 class BatchCodec:
@@ -43,66 +29,26 @@ class BatchCodec:
             raise ValueError(f"basis tables capacity {bt.max_h} below n={cp.n}")
         self.cp = cp
         self.bt = bt
-        self.ft = ft = bt.ft
-        self.dtype = np.dtype(np.uint8 if cp.r == 8 else np.uint16)
-        exp = np.asarray(ft.exp, dtype=self.dtype)
-        log = np.asarray(ft.log, dtype=np.int32)
-        if cp.r == 8:
-            table = exp[(log[:, None] + log[None, :]) % ft.mult_order]
-            table[0, :] = table[:, 0] = 0
-            self._table = table
-        else:
-            self._log = log
-            self._exp2 = np.concatenate((exp, exp))
-        self._w_hat = [np.asarray(w, dtype=self.dtype) for w in bt.w_hat]
-        self._b_prod = np.asarray(bt.b_prod[:cp.n], dtype=self.dtype)
-        self._b_inv = np.asarray(bt.b_prod_inv[:cp.n], dtype=self.dtype)
+        self.ft = bt.ft
+        self.dtype = symbol_dtype(bt.ft)
 
-    def _mul(self, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """Product of each row v[b] with the field scalar factors[b]."""
-        out = np.empty(v.shape, dtype=self.dtype)
-        if self.cp.r == 16:
-            np.take(self._exp2, self._log[v] + self._log[factors][:, None], out=out)
-            out[(v == 0) | (factors == 0)[:, None]] = 0
-            return out
-        width = v.shape[1]
-        for b, f in enumerate(factors.tolist()):
-            row = self._table[f]
-            for s in range(0, width, _CHUNK):
-                np.take(row, v[b, s:s + _CHUNK], out=out[b, s:s + _CHUNK])
-        return out
-
-    def _level(self, a: np.ndarray, i: int, shift: int):
-        """Level i's u and v block halves (views of C-contiguous a) and factors."""
-        blocks = a.shape[0] >> (i + 1)
-        pairs = a.reshape(blocks, 2, a.size // (2 * blocks))
-        factors = self._w_hat[i][:blocks]
-        if shift:
-            factors = factors ^ self.bt.eval_w_hat(i, shift)
-        return pairs[:, 0], pairs[:, 1], factors
-
-    # -- transforms over rows (row j = codeword position j) --------------
+    # -- phases over rows (row j = codeword position j), one method each
+    # so that perfbench/trace.py can time them by name ------------------
 
     def _forward_inplace(self, a: np.ndarray, shift: int) -> None:
-        for i in reversed(range(a.shape[0].bit_length() - 1)):
-            u, v, factors = self._level(a, i, shift)
-            u ^= self._mul(v, factors)
-            v ^= u
+        forward_rows(self.bt, a, shift)
 
     def _inverse_inplace(self, a: np.ndarray, shift: int) -> None:
-        for i in range(a.shape[0].bit_length() - 1):
-            u, v, factors = self._level(a, i, shift)
-            v ^= u
-            u ^= self._mul(v, factors)
+        inverse_rows(self.bt, a, shift)
 
     def _derivative(self, a: np.ndarray) -> np.ndarray:
-        h = a.shape[0]
-        scaled = self._mul(a, self._b_prod[:h])
-        acc = np.zeros_like(a)
-        for l in range(h.bit_length() - 1):
-            shape = (h >> (l + 1), 2, a.size // (h >> l))
-            acc.reshape(shape)[:, 0] ^= scaled.reshape(shape)[:, 1]
-        return self._mul(acc, self._b_inv[:h])
+        return derivative_rows(self.bt, a)
+
+    def _check_symbols(self, a: np.ndarray) -> None:
+        # A dtype wider than the field's can hold symbols outside it,
+        # which the table gathers would read as other entries.
+        if a.dtype != self.dtype and ((a < 0) | (a >= self.ft.order)).any():
+            raise ValueError(f"symbols must lie in [0, {self.ft.order})")
 
     # -- public API ------------------------------------------------------
 
@@ -111,9 +57,7 @@ class BatchCodec:
         cp = self.cp
         if messages.shape[0] != cp.k:
             raise ValueError(f"message rows {messages.shape[0]} != k={cp.k}")
-        if messages.dtype != self.dtype and (
-                (messages < 0) | (messages >= self.ft.order)).any():
-            raise ValueError(f"message symbols must lie in [0, {self.ft.order})")
+        self._check_symbols(messages)
         out = np.empty((cp.n, messages.shape[1]), dtype=self.dtype)
         out[:cp.k] = messages
         coeffs = out[:cp.k].copy()
@@ -130,6 +74,7 @@ class BatchCodec:
         n, k = cp.n, cp.k
         if received.shape[0] != n:
             raise ValueError(f"received rows {received.shape[0]} != n={n}")
+        self._check_symbols(received)
         out = received[:k].astype(self.dtype)
         if not erased:
             return out
@@ -141,12 +86,12 @@ class BatchCodec:
         pi_row = np.zeros(n, dtype=self.dtype)
         pi_row[list(loc.pi_bar)] = list(loc.pi_bar.values())
 
-        phi = self._mul(received, pi_row)
+        phi = mul_rows(self.ft, received, pi_row)
         self._inverse_inplace(phi, 0)
         dcoeffs = self._derivative(phi)
         self._forward_inplace(dcoeffs, 0)
 
         lost = sorted(j for j in erased if j < k)
         inv = np.array([self.ft.inv(loc.pi_prime[j]) for j in lost], dtype=self.dtype)
-        out[lost] = self._mul(dcoeffs[lost], inv)
+        out[lost] = mul_rows(self.ft, dcoeffs[lost], inv)
         return out

@@ -35,7 +35,7 @@ class BenchResult:
 
 def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
               seed: int = 0) -> BenchResult:
-    """Encode and decode a random payload, timing the scalar codec.
+    """Encode and decode a random payload, timing binfec.rs stripe by stripe.
 
     The payload covers `size` bytes (default: one stripe).  Decoding
     erases n - k positions chosen by the seeded RNG.  Field-operation

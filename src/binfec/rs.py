@@ -13,6 +13,9 @@ polynomial F * locator, a polynomial that is zero at every erased
 point.  One n-point inverse transform, a formal derivative, and one
 n-point forward transform later, each erased value falls out as
 F'hat(j) / locator'(j): O(n lg n) total.
+
+The transforms and the derivative are the one-row views of the row
+kernels that binfec.batch runs on every stripe of a file at once.
 """
 
 from __future__ import annotations

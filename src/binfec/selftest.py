@@ -3,8 +3,10 @@
 Each suite checks one layer against an independent reference: the
 transform against naive per-point evaluation, the fast derivative
 against the direct formula, the FWHT locator against direct products,
-the codec against round trips, the batch path against the scalar path,
-and the instrumented operation counts against their closed forms.
+the codec against round trips, and the instrumented operation counts
+against their closed forms.  The batch suite checks that the kernel
+run over many stripes at once gives, stripe for stripe, what it gives
+run over one.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def run_selftest(out: Callable[[str], None] = print) -> int:
             ok = ok and got == msg
     report("reed-solomon", ok, "(256,k) round trips for k in {2,64,128}")
 
-    # batch path vs scalar path
+    # multi-stripe rows vs one-stripe runs of the same kernel
     cp = CodeParams(8, 128)
     codec = BatchCodec(cp, bt)
     msgs = np.array([[rng.randrange(256) for _ in range(128)] for _ in range(8)],
@@ -130,7 +132,7 @@ def run_selftest(out: Callable[[str], None] = print) -> int:
     erased = set(rng.sample(range(256), 128))
     dec = codec.decode(enc, erased)
     ok = ok and (dec == msgs).all()
-    report("batch codec", ok, "matches the scalar codec on shared stripes")
+    report("batch codec", ok, "multi-stripe rows equal one-stripe rows")
 
     out("selftest: all suites passed" if failures == 0
         else f"selftest: {failures} suite(s) FAILED")

@@ -8,14 +8,28 @@ pair (u, v) at stride 2^i becomes
     u' = u + f * v,   v' = u' + v,
 
 where f is the precomputed normalized factor for the pair's block
-combined with the shift.  When the block's evaluation point is the zero
-element (block start == shift) the multiplication vanishes structurally
-and u passes through untouched.  inverse() runs the levels in the
-opposite order with the reformulated pair (v = u' + v', u = u' + f*v).
+combined with the shift.  inverse() runs the levels in the opposite
+order with the reformulated pair (v = u' + v', u = u' + f*v).
+
+forward_rows() and inverse_rows() are the one implementation: they
+transform every column of an (h x stripes) array at once, each level
+one reshape into (blocks, 2, half * stripes) whose block halves are
+whole rows sharing one factor.  The block whose point is zero needs no
+special case: its factor is W_i(0) = 0.  forward() and inverse() are
+their one-column view, list in and list out.
+
+Multiplying rows by constants takes one route per field width.  At
+r=8 symbols are uint8 and a 256 x 256 product table turns the multiply
+into a gather: one table row per wide block, in chunks so the gather's
+index buffer stays small, and one gather at (f << 8) | v for a group
+of short blocks.  At r=16 a product table would not fit, so symbols
+are uint16 and the multiply adds logs and looks the sum up in an exp
+table stored twice over, so no modular reduction is needed; zero
+operands are masked explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
-additions and multiplications the butterfly schedule executes, which
-for h-point transforms is
+additions and multiplications per level, where the block whose point
+is zero costs only its v half's additions.  For h-point transforms:
 
     shift outside the point set:  h lg h adds, (h/2) lg h muls
     shift zero:                   h lg h - h + 1 adds, (h/2) lg h - h + 1 muls
@@ -23,9 +37,22 @@ for h-point transforms is
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .basis import BasisTables
+from .field import FieldTables
+
+# Symbols per table gather at r=8; its index buffer is 8 bytes a symbol.
+_CHUNK = 1 << 16
+# Blocks narrower than this many symbols are gathered in groups at r=8.
+_SHORT = 1 << 10
+
+# numpy forms of the tables, built once per FieldTables or BasisTables.
+_arrays: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -57,33 +84,49 @@ class OpCounter:
     muls: int = 0
 
 
-def _check_size(bt: BasisTables, h: int, shift: int) -> None:
+class BasisArrays(NamedTuple):
+    """BasisTables' butterfly factors and derivative products as arrays."""
+
+    w_hat: list[np.ndarray]
+    b_prod: np.ndarray
+    b_prod_inv: np.ndarray
+
+
+def symbol_dtype(ft: FieldTables) -> np.dtype:
+    """uint8 at r=8, uint16 at r=16."""
+    return np.dtype(np.uint8 if ft.r == 8 else np.uint16)
+
+
+def column(bt: BasisTables, data: list[int], shift: int = 0) -> np.ndarray:
+    """A size-h vector as the (h x 1) array the row kernels run on."""
+    h = len(data)
     if h < 1 or h & (h - 1):
         raise ValueError(f"transform size must be a power of two, got {h}")
     if h > bt.max_h:
         raise ValueError(f"transform size {h} exceeds table capacity {bt.max_h}")
     if not 0 <= shift < bt.ft.order:
         raise ValueError(f"shift {shift} outside field of size {bt.ft.order}")
+    # int64 first: numpy scalars cast to a narrower dtype would wrap.
+    a = np.array(data, dtype=np.int64).reshape(h, 1)
+    if ((a < 0) | (a >= bt.ft.order)).any():
+        raise ValueError(f"symbols must lie in [0, {bt.ft.order})")
+    return a.astype(symbol_dtype(bt.ft))
 
 
 def forward(bt: BasisTables, coeffs: CoeffVec, shift: int = 0,
             ops: OpCounter | None = None) -> EvalVec:
     """Transform coefficients into evaluations at points c ^ shift."""
-    h = len(coeffs.data)
-    _check_size(bt, h, shift)
-    a = list(coeffs.data)
-    _forward_inplace(bt, a, shift, ops)
-    return EvalVec(a, shift)
+    a = column(bt, coeffs.data, shift)
+    forward_rows(bt, a, shift, ops)
+    return EvalVec(a[:, 0].tolist(), shift)
 
 
 def inverse(bt: BasisTables, evals: EvalVec,
             ops: OpCounter | None = None) -> CoeffVec:
     """Recover the coefficients whose forward transform is `evals`."""
-    h = len(evals.data)
-    _check_size(bt, h, evals.shift)
-    a = list(evals.data)
-    _inverse_inplace(bt, a, evals.shift, ops)
-    return CoeffVec(a)
+    a = column(bt, evals.data, evals.shift)
+    inverse_rows(bt, a, evals.shift, ops)
+    return CoeffVec(a[:, 0].tolist())
 
 
 def forward_counted(bt: BasisTables, coeffs: CoeffVec,
@@ -99,80 +142,90 @@ def inverse_counted(bt: BasisTables, evals: EvalVec) -> tuple[CoeffVec, OpCounte
     return inverse(bt, evals, ops), ops
 
 
-def _forward_inplace(bt: BasisTables, a: list[int], shift: int,
-                     ops: OpCounter | None) -> None:
-    h = len(a)
-    ft = bt.ft
-    exp, log, m = ft.exp, ft.log, ft.mult_order
-    levels = h.bit_length() - 1
-    for i in range(levels - 1, -1, -1):
-        half = 1 << i
-        step = half << 1
-        hat = bt.w_hat[i]
-        hat_shift = bt.eval_w_hat(i, shift) if shift else 0
-        # The evaluation point of a block is zero only where the block
-        # start equals the shift; only there the multiply is skipped.
-        zero_c = shift if shift < h and not shift & (step - 1) else -1
-        for c in range(0, h, step):
-            if c == zero_c:
-                for j in range(c, c + half):
-                    a[j + half] ^= a[j]
-                if ops is not None:
-                    ops.adds += half
-                continue
-            f = hat[c >> (i + 1)] ^ hat_shift
-            if f:
-                lf = log[f]
-                for j in range(c, c + half):
-                    v = a[j + half]
-                    if v:
-                        u = a[j] ^ exp[(log[v] + lf) % m]
-                        a[j] = u
-                    else:
-                        u = a[j]
-                    a[j + half] = u ^ v
-            else:
-                # zero factor: products vanish, u passes through
-                for j in range(c, c + half):
-                    a[j + half] ^= a[j]
-            if ops is not None:
-                ops.adds += 2 * half
-                ops.muls += half
+def _cached(owner, build):
+    if owner not in _arrays:
+        _arrays[owner] = build(owner)
+    return _arrays[owner]
 
 
-def _inverse_inplace(bt: BasisTables, a: list[int], shift: int,
-                     ops: OpCounter | None) -> None:
-    h = len(a)
-    ft = bt.ft
-    exp, log, m = ft.exp, ft.log, ft.mult_order
-    levels = h.bit_length() - 1
-    for i in range(levels):
+def _field_arrays(ft: FieldTables) -> tuple[np.ndarray, ...]:
+    """r=8: (flat product table,); r=16: (int32 logs, doubled exp table)."""
+    exp = np.asarray(ft.exp, dtype=symbol_dtype(ft))
+    log = np.asarray(ft.log, dtype=np.int32)
+    if ft.r == 16:
+        return log, np.concatenate((exp, exp))
+    table = exp[(log[:, None] + log[None, :]) % ft.mult_order]
+    table[0, :] = table[:, 0] = 0
+    return (table.ravel(),)
+
+
+def basis_arrays(bt: BasisTables) -> BasisArrays:
+    """bt's w_hat levels, b_prod and b_prod_inv as symbol arrays."""
+    return _cached(bt, lambda bt: BasisArrays(
+        [np.asarray(w, dtype=symbol_dtype(bt.ft)) for w in bt.w_hat],
+        np.asarray(bt.b_prod, dtype=symbol_dtype(bt.ft)),
+        np.asarray(bt.b_prod_inv, dtype=symbol_dtype(bt.ft))))
+
+
+def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Product of each row v[b] with the field scalar factors[b]."""
+    out = np.empty(v.shape, dtype=symbol_dtype(ft))
+    if ft.r == 16:
+        log, exp2 = _cached(ft, _field_arrays)
+        np.take(exp2, log[v] + log[factors][:, None], out=out)
+        out[(v == 0) | (factors == 0)[:, None]] = 0
+        return out
+    (table,) = _cached(ft, _field_arrays)
+    rows, width = v.shape
+    if width < _SHORT:
+        # One-row calls have blocks of a few symbols, where a gather
+        # per block costs more in calls than in work.
+        group = _CHUNK // max(width, 1)
+        for b in range(0, rows, group):
+            idx = (factors[b:b + group, None].astype(np.intp) << 8) | v[b:b + group]
+            np.take(table, idx, out=out[b:b + group])
+        return out
+    for b, f in enumerate(factors.tolist()):
+        row = table[f << 8:(f + 1) << 8]
+        for s in range(0, width, _CHUNK):
+            np.take(row, v[b, s:s + _CHUNK], out=out[b, s:s + _CHUNK])
+    return out
+
+
+def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
+           ops: OpCounter | None):
+    """Level i's u and v block halves (views of C-contiguous a) and factors."""
+    h = a.shape[0]
+    blocks = h >> (i + 1)
+    pairs = a.reshape(blocks, 2, a.size // (2 * blocks))
+    factors = basis_arrays(bt).w_hat[i][:blocks]
+    if shift:
+        factors = factors ^ bt.eval_w_hat(i, shift)
+    if ops is not None:
         half = 1 << i
-        step = half << 1
-        hat = bt.w_hat[i]
-        hat_shift = bt.eval_w_hat(i, shift) if shift else 0
-        zero_c = shift if shift < h and not shift & (step - 1) else -1
-        for c in range(0, h, step):
-            if c == zero_c:
-                for j in range(c, c + half):
-                    a[j + half] ^= a[j]
-                if ops is not None:
-                    ops.adds += half
-                continue
-            f = hat[c >> (i + 1)] ^ hat_shift
-            if f:
-                lf = log[f]
-                for j in range(c, c + half):
-                    v = a[j] ^ a[j + half]
-                    a[j + half] = v
-                    if v:
-                        a[j] ^= exp[(log[v] + lf) % m]
-            else:
-                for j in range(c, c + half):
-                    a[j + half] ^= a[j]
-            if ops is not None:
-                ops.adds += 2 * half
-                ops.muls += half
+        zero = half if shift < h and not shift & ((half << 1) - 1) else 0
+        stripes = a.size // h
+        ops.adds += (h - zero) * stripes
+        ops.muls += (h // 2 - zero) * stripes
+    return pairs[:, 0], pairs[:, 1], factors
+
+
+def forward_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
+                 ops: OpCounter | None = None) -> None:
+    """forward() on every column of an (h x stripes) array, in place."""
+    for i in reversed(range(a.shape[0].bit_length() - 1)):
+        u, v, factors = _level(bt, a, i, shift, ops)
+        u ^= mul_rows(bt.ft, v, factors)
+        v ^= u
+
+
+def inverse_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
+                 ops: OpCounter | None = None) -> None:
+    """inverse() on every column of an (h x stripes) array, in place."""
+    for i in range(a.shape[0].bit_length() - 1):
+        u, v, factors = _level(bt, a, i, shift, ops)
+        v ^= u
+        u ^= mul_rows(bt.ft, v, factors)
 
 
 def degree(coeffs: CoeffVec) -> int | None:

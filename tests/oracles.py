@@ -156,6 +156,25 @@ def mono_derivative(coeffs: list[int]) -> list[int]:
     return out
 
 
+def lagrange_eval(ft, xs: list[int], ys: list[int], x: int) -> int:
+    """Value at x of the degree < len(xs) polynomial through (xs, ys).
+
+    Monomial-form Lagrange interpolation; in characteristic 2 every
+    difference x - xs[j] is the XOR x ^ xs[j].
+    """
+    acc = 0
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if not yi:
+            continue
+        num = den = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = ft.mul(num, x ^ xj)
+                den = ft.mul(den, xi ^ xj)
+        acc ^= ft.mul(yi, ft.div(num, den))
+    return acc
+
+
 def w_monomial(ft, j: int) -> list[int]:
     """Monomial coefficients of W_j from its linear factors."""
     poly = [1]

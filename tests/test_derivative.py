@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binfec.basis import build_basis_tables
-from binfec.derivative import derivative_direct, derivative_fast, w_prime_const
+from binfec.derivative import derivative_direct, derivative_fast
 from binfec.field import tables_for
 from binfec.transform import CoeffVec, OpCounter
 
@@ -93,15 +93,31 @@ def test_multiplication_budget(bt8):
             assert ops.muls <= 2 * h
 
 
+def test_operation_counts_exact(bt8):
+    # adds: (h/2) lg h terms in all, less the h - 1 first terms that
+    # start an output; muls: h to scale, one per nonzero output
+    rng = random.Random(46)
+    for lg in range(9):
+        h = 1 << lg
+        for density in (0.0, 0.1, 1.0):
+            d = CoeffVec([rng.randrange(1, 256) if rng.random() < density else 0
+                          for _ in range(h)])
+            nonzero = sum(1 for v in derivative_direct(bt8, d).data if v)
+            ops = OpCounter()
+            derivative_fast(bt8, d, ops)
+            assert ops.adds == h // 2 * lg - (h - 1)
+            assert ops.muls == h + nonzero
+
+
 def test_w_prime_constants(bt8, ft8):
-    assert w_prime_const(bt8, 0) == ft8.inv(bt8.w_norm[0]) == 1
-    assert w_prime_const(bt8, 1) == ft8.div(1, bt8.eval_w(1, 2))
+    assert bt8.w_prime[0] == ft8.inv(bt8.w_norm[0]) == 1
+    assert bt8.w_prime[1] == ft8.div(1, bt8.eval_w(1, 2))
     # direct 7-term product oracle for level 3
     num = 1
     for j in range(1, 8):
         num = ft8.mul(num, j)
     assert num == 35 and w_direct(ft8, 3, 8) == 114
-    assert w_prime_const(bt8, 3) == ft8.div(num, w_direct(ft8, 3, 8)) == 41
+    assert bt8.w_prime[3] == ft8.div(num, w_direct(ft8, 3, 8)) == 41
 
 
 @given(lg=st.integers(1, 6), data=st.data())

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +175,16 @@ def test_size_and_shift_validation(bt8):
         poly_mul(bt8, CoeffVec([1, 2]), CoeffVec([1, 2, 3, 4]))
     with pytest.raises(ValueError):
         poly_mul(bt8, CoeffVec([0] * 256), CoeffVec([0] * 256))
+
+
+def test_symbols_outside_the_field_are_rejected(bt8):
+    # numpy scalars included: a cast to uint8 would wrap 300 to 44
+    with pytest.raises(ValueError):
+        forward(bt8, CoeffVec([1, 256]), 0)
+    with pytest.raises(ValueError):
+        inverse(bt8, EvalVec([np.uint16(300), 0], 0))
+    with pytest.raises(ValueError):
+        forward(bt8, CoeffVec([-1, 0]), 3)
 
 
 @given(
