@@ -44,11 +44,17 @@ class BatchCodec:
     def _derivative(self, a: np.ndarray) -> np.ndarray:
         return derivative_rows(self.bt, a)
 
-    def _check_symbols(self, a: np.ndarray) -> None:
-        # A dtype wider than the field's can hold symbols outside it,
-        # which the table gathers would read as other entries.
-        if a.dtype != self.dtype and ((a < 0) | (a >= self.ft.order)).any():
+    def _symbols(self, a: np.ndarray, ignored: set[int] = frozenset()) -> np.ndarray:
+        # a in the codec's dtype, rows in `ignored` read as zero.  A wider
+        # dtype can hold values outside the field, which the table
+        # gathers would read as other entries: those are rejected.
+        if a.dtype == self.dtype:
+            return a
+        a = a.astype(np.int64)
+        a[sorted(ignored)] = 0
+        if ((a < 0) | (a >= self.ft.order)).any():
             raise ValueError(f"symbols must lie in [0, {self.ft.order})")
+        return a.astype(self.dtype)
 
     # -- public API ------------------------------------------------------
 
@@ -57,7 +63,7 @@ class BatchCodec:
         cp = self.cp
         if messages.shape[0] != cp.k:
             raise ValueError(f"message rows {messages.shape[0]} != k={cp.k}")
-        self._check_symbols(messages)
+        messages = self._symbols(messages)
         out = np.empty((cp.n, messages.shape[1]), dtype=self.dtype)
         out[:cp.k] = messages
         coeffs = out[:cp.k].copy()
@@ -74,13 +80,13 @@ class BatchCodec:
         n, k = cp.n, cp.k
         if received.shape[0] != n:
             raise ValueError(f"received rows {received.shape[0]} != n={n}")
-        self._check_symbols(received)
-        out = received[:k].astype(self.dtype)
-        if not erased:
-            return out
         if len(erased) > n - k:
             raise TooManyErasuresError(
                 f"{len(erased)} erasures exceed repair capacity {n - k}")
+        received = self._symbols(received, erased)
+        out = received[:k].copy()
+        if not erased:
+            return out
 
         loc = locator_values(self.ft, erased)
         pi_row = np.zeros(n, dtype=self.dtype)

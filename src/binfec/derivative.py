@@ -14,7 +14,8 @@ B_i first makes every inner sum factor-free, and one multiply by 1/B_j
 finishes each output, for at most 2h multiplications total.  It is the
 one-column view of derivative_rows(), which differentiates every
 column of an (h x stripes) array at once with the same row kernel the
-transform uses.  Both methods produce identical output.
+transform uses, so like the transform it takes a power-of-two length
+up to the tables' capacity.  Both methods produce identical output.
 
 Coefficients at or beyond the vector length are treated as zero, which
 is the only sound reading for a polynomial of degree below h.
@@ -62,11 +63,12 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
     clear), one XOR of reshaped halves.  Counted per column as the
     direct sum: (h/2) lg h - (h - 1) additions (the first term into
     each output is no addition), h + (nonzero outputs) multiplications.
+    a is left as it is, in any memory layout; the result is a new array.
     """
     h = a.shape[0]
     arrays = basis_arrays(bt)
     scaled = mul_rows(bt.ft, a, arrays.b_prod[:h])
-    acc = np.zeros_like(a)
+    acc = np.zeros_like(scaled)
     for l in range(h.bit_length() - 1):
         shape = (h >> (l + 1), 2, a.size // (h >> l))
         acc.reshape(shape)[:, 0] ^= scaled.reshape(shape)[:, 1]

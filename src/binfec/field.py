@@ -14,6 +14,7 @@ element is handled by explicit branches, never by the table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 # Primitive reduction polynomials, one per supported bit width.
@@ -133,6 +134,16 @@ def tables_for(r: int, reduction_poly: int | None = None) -> FieldTables:
     """Build tables for bit width r with the default (or given) polynomial."""
     poly = DEFAULT_POLY[r] if reduction_poly is None else reduction_poly
     return build_tables(FieldParams(r=r, reduction_poly=poly))
+
+
+def derived(build):
+    """Decorator: build(tables) runs once per table set, kept on the tables."""
+    def get(owner):
+        forms = owner.__dict__.setdefault("_derived", {})
+        if build not in forms:
+            forms.setdefault(build, build(owner))  # the first build wins a race
+        return forms[build]
+    return functools.wraps(build)(get)
 
 
 def _mul_slow(a: int, b: int, poly: int, r: int) -> int:

@@ -15,17 +15,20 @@ forward_rows() and inverse_rows() are the one implementation: they
 transform every column of an (h x stripes) array at once, each level
 one reshape into (blocks, 2, half * stripes) whose block halves are
 whole rows sharing one factor.  The block whose point is zero needs no
-special case: its factor is W_i(0) = 0.  forward() and inverse() are
+special case: its factor is W_i(0) = 0.  The array must be C-contiguous,
+so that each reshape is a view of it.  forward() and inverse() are
 their one-column view, list in and list out.
 
 Multiplying rows by constants takes one route per field width.  At
 r=8 symbols are uint8 and a 256 x 256 product table turns the multiply
-into a gather: one table row per wide block, in chunks so the gather's
-index buffer stays small, and one gather at (f << 8) | v for a group
-of short blocks.  At r=16 a product table would not fit, so symbols
-are uint16 and the multiply adds logs and looks the sum up in an exp
-table stored twice over, so no modular reduction is needed; zero
-operands are masked explicitly.
+into a gather at the flat index (f << 8) | v.  One gather covers as
+many whole rows as fit in a chunk, so the many short blocks of a
+one-column call cost a few calls per level, and a row wider than a
+chunk is gathered chunk by chunk, so the index buffer stays small.
+At r=16 a product table would not fit, so symbols are uint16 and the
+multiply adds logs and looks the sum up in an exp table stored twice
+over, so no modular reduction is needed; zero operands are masked
+explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
 additions and multiplications per level, where the block whose point
@@ -37,22 +40,17 @@ is zero costs only its v half's additions.  For h-point transforms:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .basis import BasisTables
-from .field import FieldTables
+from .field import FieldTables, derived
 
-# Symbols per table gather at r=8; its index buffer is 8 bytes a symbol.
+# Symbols per table gather at r=8; numpy converts its indices to an
+# 8-byte-per-symbol buffer.
 _CHUNK = 1 << 16
-# Blocks narrower than this many symbols are gathered in groups at r=8.
-_SHORT = 1 << 10
-
-# numpy forms of the tables, built once per FieldTables or BasisTables.
-_arrays: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -142,12 +140,7 @@ def inverse_counted(bt: BasisTables, evals: EvalVec) -> tuple[CoeffVec, OpCounte
     return inverse(bt, evals, ops), ops
 
 
-def _cached(owner, build):
-    if owner not in _arrays:
-        _arrays[owner] = build(owner)
-    return _arrays[owner]
-
-
+@derived
 def _field_arrays(ft: FieldTables) -> tuple[np.ndarray, ...]:
     """r=8: (flat product table,); r=16: (int32 logs, doubled exp table)."""
     exp = np.asarray(ft.exp, dtype=symbol_dtype(ft))
@@ -159,42 +152,43 @@ def _field_arrays(ft: FieldTables) -> tuple[np.ndarray, ...]:
     return (table.ravel(),)
 
 
+@derived
 def basis_arrays(bt: BasisTables) -> BasisArrays:
     """bt's w_hat levels, b_prod and b_prod_inv as symbol arrays."""
-    return _cached(bt, lambda bt: BasisArrays(
-        [np.asarray(w, dtype=symbol_dtype(bt.ft)) for w in bt.w_hat],
-        np.asarray(bt.b_prod, dtype=symbol_dtype(bt.ft)),
-        np.asarray(bt.b_prod_inv, dtype=symbol_dtype(bt.ft))))
+    dtype = symbol_dtype(bt.ft)
+    return BasisArrays([np.asarray(w, dtype=dtype) for w in bt.w_hat],
+                       np.asarray(bt.b_prod, dtype=dtype),
+                       np.asarray(bt.b_prod_inv, dtype=dtype))
 
 
 def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Product of each row v[b] with the field scalar factors[b]."""
     out = np.empty(v.shape, dtype=symbol_dtype(ft))
     if ft.r == 16:
-        log, exp2 = _cached(ft, _field_arrays)
+        log, exp2 = _field_arrays(ft)
         np.take(exp2, log[v] + log[factors][:, None], out=out)
         out[(v == 0) | (factors == 0)[:, None]] = 0
         return out
-    (table,) = _cached(ft, _field_arrays)
+    (table,) = _field_arrays(ft)
     rows, width = v.shape
-    if width < _SHORT:
-        # One-row calls have blocks of a few symbols, where a gather
-        # per block costs more in calls than in work.
-        group = _CHUNK // max(width, 1)
-        for b in range(0, rows, group):
-            idx = (factors[b:b + group, None].astype(np.intp) << 8) | v[b:b + group]
-            np.take(table, idx, out=out[b:b + group])
-        return out
-    for b, f in enumerate(factors.tolist()):
-        row = table[f << 8:(f + 1) << 8]
+    group = max(1, _CHUNK // max(width, 1))
+    high = factors.astype(np.uint16)[:, None] << 8
+    for b in range(0, rows, group):
         for s in range(0, width, _CHUNK):
-            np.take(row, v[b, s:s + _CHUNK], out=out[b, s:s + _CHUNK])
+            # For field symbols (f << 8) | v lies inside the 65,536-entry
+            # table, so mode="wrap" changes no result; it gathers faster
+            # than the default mode, which checks every index.
+            np.take(table, high[b:b + group] | v[b:b + group, s:s + _CHUNK],
+                    out=out[b:b + group, s:s + _CHUNK], mode="wrap")
     return out
 
 
 def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
            ops: OpCounter | None):
-    """Level i's u and v block halves (views of C-contiguous a) and factors."""
+    """Level i's u and v block halves (views of a) and factors."""
+    if not a.flags.c_contiguous:
+        # reshape would copy, and the level would be lost in the copy
+        raise ValueError("row kernels transform C-contiguous arrays in place")
     h = a.shape[0]
     blocks = h >> (i + 1)
     pairs = a.reshape(blocks, 2, a.size // (2 * blocks))

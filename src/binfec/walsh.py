@@ -16,13 +16,12 @@ once per FieldTables and cached.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldTables
+from .field import FieldTables, derived
 
 # ResidueVec: a list of ints in [0, modulus), transformed in place.
 ResidueVec = list[int]
@@ -68,18 +67,12 @@ def _fwht(a: np.ndarray, modulus: int) -> np.ndarray:
     return a
 
 
-_fwht_log_cache: "weakref.WeakKeyDictionary[FieldTables, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
+@derived
 def _fwht_of_log(ft: FieldTables) -> np.ndarray:
-    cached = _fwht_log_cache.get(ft)
-    if cached is None:
-        cached = _fwht(np.array(ft.log, dtype=np.int64), ft.mult_order)
-        cached.flags.writeable = False
-        _fwht_log_cache[ft] = cached
-    return cached
+    """The log table's transform, read-only."""
+    a = _fwht(np.array(ft.log, dtype=np.int64), ft.mult_order)
+    a.flags.writeable = False
+    return a
 
 
 def locator_values(ft: FieldTables, erasures: Iterable[int]) -> LocatorValues:

@@ -5,7 +5,7 @@ import pytest
 
 from binfec.batch import BatchCodec
 from binfec.rs import CodeParams, ErasurePattern, TooManyErasuresError, decode, encode
-from binfec.transform import _CHUNK, _SHORT
+from binfec.transform import _CHUNK
 
 from oracles import lagrange_eval
 
@@ -88,14 +88,14 @@ def _assert_parity_matches_lagrange(ft, k, msgs, enc, stripes, positions):
 
 
 def test_batch_multi_stripe_matches_lagrange_oracle(bt8, ft8):
-    # _SHORT - 1 stripes: level-0 blocks take the grouped short-block
-    # gather, in several groups, and level 1 up the row gather; over
-    # _CHUNK stripes: every row gather spans more than one chunk
+    # 1,023 stripes: one r=8 gather covers a group of rows, and the low
+    # levels take several groups; over _CHUNK stripes: every row is
+    # gathered in more than one chunk
     rng = np.random.default_rng(85)
     pyrng = random.Random(85)
     cp = CodeParams(8, 16)
     codec = BatchCodec(cp, bt8)
-    for stripes in (_SHORT - 1, _CHUNK + 4_464):
+    for stripes in (1_023, _CHUNK + 4_464):
         msgs = rng.integers(0, 256, (16, stripes), dtype=np.uint8)
         enc = codec.encode(msgs)
         assert (enc[:16] == msgs).all()
@@ -143,3 +143,15 @@ def test_batch_decode_rejects_symbols_outside_the_field(bt8):
     received[20, 1] = 256
     with pytest.raises(ValueError):
         codec.decode(received, {0})
+
+
+def test_batch_decode_reads_no_erased_row(bt8):
+    # erased rows may hold anything, even values outside the field
+    codec = BatchCodec(CodeParams(8, 16), bt8)
+    msgs = np.arange(48, dtype=np.uint8).reshape(16, 3)
+    received = codec.encode(msgs).astype(np.int16)
+    erased = {0, 5, 17, 200}
+    received[sorted(erased)] = -1
+    assert (codec.decode(received, erased) == msgs).all()
+    received[sorted(erased)] = 300
+    assert (codec.decode(received, erased) == msgs).all()

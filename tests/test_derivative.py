@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binfec.basis import build_basis_tables
-from binfec.derivative import derivative_direct, derivative_fast
+from binfec.derivative import derivative_direct, derivative_fast, derivative_rows
 from binfec.field import tables_for
 from binfec.transform import CoeffVec, OpCounter
 
@@ -107,6 +109,23 @@ def test_operation_counts_exact(bt8):
             derivative_fast(bt8, d, ops)
             assert ops.adds == h // 2 * lg - (h - 1)
             assert ops.muls == h + nonzero
+
+
+def test_fast_method_takes_transform_lengths_only(bt8):
+    # unlike derivative_direct, which reads any length
+    for bad in ([1, 2, 3], [0] * 512, [1, 256]):
+        with pytest.raises(ValueError):
+            derivative_fast(bt8, CoeffVec(bad))
+
+
+def test_rows_match_columns_in_any_layout(bt8):
+    rng = np.random.default_rng(47)
+    a = rng.integers(0, 256, (5, 32), dtype=np.uint8).T  # (32, 5), not C-contiguous
+    before = a.copy()
+    got = derivative_rows(bt8, a)
+    assert (a == before).all()
+    for s in range(5):
+        assert got[:, s].tolist() == derivative_direct(bt8, CoeffVec(a[:, s].tolist())).data
 
 
 def test_w_prime_constants(bt8, ft8):

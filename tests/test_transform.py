@@ -13,8 +13,10 @@ from binfec.transform import (
     degree,
     forward,
     forward_counted,
+    forward_rows,
     inverse,
     inverse_counted,
+    inverse_rows,
     poly_mul,
 )
 
@@ -185,6 +187,21 @@ def test_symbols_outside_the_field_are_rejected(bt8):
         inverse(bt8, EvalVec([np.uint16(300), 0], 0))
     with pytest.raises(ValueError):
         forward(bt8, CoeffVec([-1, 0]), 3)
+
+
+def test_row_kernels_reject_arrays_they_cannot_transform_in_place(bt8):
+    # a reshape of a non-C-contiguous array is a copy, which would take
+    # the transform and leave the caller's array as it was
+    a = np.arange(64, dtype=np.uint8).reshape(4, 16).T
+    for kernel in (forward_rows, inverse_rows):
+        with pytest.raises(ValueError):
+            kernel(bt8, a, 0)
+        with pytest.raises(ValueError):
+            kernel(bt8, np.asfortranarray(a), 0)
+    b = np.ascontiguousarray(a)
+    forward_rows(bt8, b, 0)
+    assert [b[:, s].tolist() for s in range(4)] == [
+        forward(bt8, CoeffVec(a[:, s].tolist()), 0).data for s in range(4)]
 
 
 @given(
