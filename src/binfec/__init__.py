@@ -8,60 +8,35 @@ and the systematic codec (`encode`, `decode`).  The CLI in
 `binfec.cli` wraps the codec for whole files.
 """
 
-from .basis import BasisTables, build_basis_tables
-from .derivative import derivative_direct, derivative_fast
-from .field import DEFAULT_POLY, FieldParams, FieldTables, build_tables, tables_for
-from .rs import (
-    CodeParams,
-    Codeword,
-    ErasurePattern,
-    TooManyErasuresError,
-    decode,
-    encode,
-    shorten,
-)
-from .transform import (
-    CoeffVec,
-    EvalVec,
-    OpCounter,
-    degree,
-    forward,
-    forward_counted,
-    inverse,
-    inverse_counted,
-    poly_mul,
-)
-from .walsh import LocatorValues, fwht, locator_values
+import importlib
+
+# Exported names by defining submodule.  Submodules load on first
+# access (PEP 562), so `import binfec` and `python -m binfec.cli` import
+# no numpy until a name that needs it is used.
+_EXPORTS = {
+    "basis": ["BasisTables", "build_basis_tables"],
+    "derivative": ["derivative_direct", "derivative_fast"],
+    "field": ["DEFAULT_POLY", "FieldParams", "FieldTables", "build_tables", "tables_for"],
+    "rs": ["CodeParams", "Codeword", "ErasurePattern", "TooManyErasuresError",
+           "decode", "encode", "shorten"],
+    "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward",
+                  "forward_counted", "inverse", "inverse_counted", "poly_mul"],
+    "walsh": ["LocatorValues", "fwht", "locator_values"],
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisTables",
-    "CodeParams",
-    "Codeword",
-    "CoeffVec",
-    "DEFAULT_POLY",
-    "ErasurePattern",
-    "EvalVec",
-    "FieldParams",
-    "FieldTables",
-    "LocatorValues",
-    "OpCounter",
-    "TooManyErasuresError",
-    "build_basis_tables",
-    "build_tables",
-    "decode",
-    "degree",
-    "derivative_direct",
-    "derivative_fast",
-    "encode",
-    "forward",
-    "forward_counted",
-    "fwht",
-    "inverse",
-    "inverse_counted",
-    "locator_values",
-    "poly_mul",
-    "shorten",
-    "tables_for",
-]
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

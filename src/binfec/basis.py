@@ -62,11 +62,16 @@ class BasisTables:
 
         # Butterfly factors for block starts: w_hat[i][b] is the
         # normalized W_i at the element indexed b * 2^(i+1).  Levels sum
-        # to max_h/2 + max_h/4 + ... + 1 = max_h - 1 entries.
-        self.w_hat: list[list[int]] = [
-            [self.eval_w_hat(i, b << (i + 1)) for b in range(max_h >> (i + 1))]
-            for i in range(self.levels)
-        ]
+        # to max_h/2 + max_h/4 + ... + 1 = max_h - 1 entries.  W_i is
+        # linear, so each row doubles by XOR with its next power-of-two
+        # entry.
+        self.w_hat: list[list[int]] = []
+        for i in range(self.levels):
+            row = [0]
+            for t in range(i + 1, self.levels):
+                top = self.eval_w_hat(i, 1 << t)
+                row += [x ^ top for x in row]
+            self.w_hat.append(row)
 
         # Formal-derivative constants: W'_l is the (constant) formal
         # derivative of the normalized W_l, i.e. the product of all
@@ -83,12 +88,14 @@ class BasisTables:
 
         # Subset products B_i = prod of W'_j over set bits j of i, plus
         # inverses, for every coefficient index a size-max_h vector has.
-        b_prod = [1] * max_h
-        for i in range(1, max_h):
-            low = i & -i
-            b_prod[i] = mul(b_prod[i ^ low], w_prime[low.bit_length() - 1])
-        self.b_prod: list[int] = b_prod
-        self.b_prod_inv: list[int] = [ft.inv(v) for v in b_prod]
+        # Built as logs: B_i for i in [2^j, 2^(j+1)) is B_(i - 2^j) W'_j.
+        # Every W'_j is nonzero, so every B_i is too.
+        b_log = [0] * max_h
+        for j in range(self.levels):
+            step = log[w_prime[j]]
+            b_log[1 << j:2 << j] = [(v + step) % m for v in b_log[:1 << j]]
+        self.b_prod: list[int] = [exp[v] for v in b_log]
+        self.b_prod_inv: list[int] = [exp[(m - v) % m] for v in b_log]
 
     # -- evaluation ----------------------------------------------------
 

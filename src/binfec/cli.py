@@ -17,27 +17,29 @@ import glob
 import os
 import sys
 
-import numpy as np
-
 from .basis import build_basis_tables
-from .batch import BatchCodec
-from .bench import CSV_HEADER, run_bench
 from .field import DEFAULT_POLY, tables_for
-from .rs import CodeParams
-from .selftest import run_selftest
 from .shardfile import (
     InsufficientShardsError,
     SHARD_SUFFIX,
     ShardFormatError,
     ShardHeader,
     bytes_to_stripes,
+    payload_dtype,
     read_shards,
     stripes_to_bytes,
     write_shards,
 )
 
+# This module and the ones above import no numpy: a decode that finds
+# every data shard only interleaves their payloads.  Encode, the repair
+# decode, selftest and bench import numpy and the codec when they run.
+
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    from .batch import BatchCodec
+    from .rs import CodeParams
+
     r, k = args.r, args.k
     if k < 1 or k & (k - 1) or k >= (1 << r):
         raise ValueError(f"k must be a power of two below {1 << r}, got {k}")
@@ -59,34 +61,40 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _repair(header: ShardHeader, columns: dict[int, memoryview]):
+    """The (k x stripes) data rows rebuilt by the codec from k shard payloads."""
+    import numpy as np
+
+    from .batch import BatchCodec
+    from .rs import CodeParams
+
+    n, k = header.n, header.k
+    ft = tables_for(header.r, header.reduction_poly)
+    codec = BatchCodec(CodeParams(header.r, k), build_basis_tables(ft, n))
+    dtype = payload_dtype(header.r)
+    received = np.zeros((n, header.stripe_count), dtype=codec.dtype)
+    for j, payload in columns.items():
+        received[j] = np.frombuffer(payload, dtype=dtype)
+    messages = codec.decode(received, set(range(n)) - set(columns))
+    return messages.astype(dtype, copy=False)
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     paths = sorted(glob.glob(os.path.join(args.shards, "*" + SHARD_SUFFIX)))
     header, columns, skipped = read_shards(paths)
     for note in skipped:
         print(f"warning: skipping {note}", file=sys.stderr)
 
-    n, k = header.n, header.k
+    k = header.k
     if len(columns) < k:
         raise InsufficientShardsError(
             f"have {len(columns)} usable shards, need at least {k}")
 
-    stripes = header.stripe_count
-    if stripes == 0:
-        data = b""
-    elif all(j in columns for j in range(k)):
-        matrix = np.stack([columns[j] for j in range(k)])
-        data = stripes_to_bytes(matrix, header.r, header.original_length)
+    if all(j in columns for j in range(k)):
+        rows = [columns[j] for j in range(k)]  # systematic: no field arithmetic
     else:
-        cp = CodeParams(header.r, k)
-        ft = tables_for(header.r, header.reduction_poly)
-        bt = build_basis_tables(ft, n)
-        codec = BatchCodec(cp, bt)
-        received = np.zeros((n, stripes), dtype=codec.dtype)
-        for j, col in columns.items():
-            received[j] = col
-        erased = {j for j in range(n) if j not in columns}
-        messages = codec.decode(received, erased)
-        data = stripes_to_bytes(messages, header.r, header.original_length)
+        rows = _repair(header, columns)
+    data = stripes_to_bytes(rows, header.r, header.original_length)
 
     with open(args.output, "wb") as fh:
         fh.write(data)
@@ -96,10 +104,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest
+
     return 1 if run_selftest() else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import CSV_HEADER, run_bench
+
     result = run_bench(r=args.r, k=args.k, size=args.size, seed=args.seed)
     print(f"encode: {result.encode_s:.3f} s for {result.stripes} stripe(s), "
           f"(n,k)=({result.n},{result.k})")
@@ -110,6 +122,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Before numpy's first import: binfec never calls BLAS, and starting
+    # OpenBLAS's worker threads costs ~70 ms of every run.  A value the
+    # user has set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = argparse.ArgumentParser(
         prog="binfec",
         description="Erasure-code files into shards; any k of n rebuild the original.")

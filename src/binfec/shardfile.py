@@ -21,6 +21,10 @@ header's original length says where to cut on reassembly).  In memory
 a file is a shard-major (shards x stripes) symbol array: row j is
 shard j's payload as stored, so the file's bytes are the transpose of
 its k data rows, and writing or reading a shard moves one row.
+
+Reading and reassembly need no numpy: a decode that finds every data
+shard only interleaves their payloads.  numpy is imported by the
+functions that build or take arrays, when they are first called.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 MAGIC = b"LCHS"
 VERSION = 1
@@ -105,60 +107,116 @@ class ShardHeader:
         return cls(r, log2_k, index, length, poly)
 
 
-def _symbol_dtype(r: int) -> np.dtype:
-    return np.dtype("<u2" if r == 16 else "u1")
+# Output bytes interleaved per pass of stripes_to_bytes: the pass's
+# scattered writes then stay in cache (1 MiB measured fastest on a
+# 2-core Xeon: ~13 ms for 4 MiB at k=128, against ~29 ms in one pass).
+_BLOCK_BYTES = 1 << 20
 
 
-def bytes_to_stripes(data: bytes, k: int, r: int) -> np.ndarray:
+def payload_dtype(r: int) -> str:
+    """The on-disk numpy dtype of one symbol: little-endian, r/8 bytes."""
+    return "<u2" if r == 16 else "u1"
+
+
+def bytes_to_stripes(data: bytes, k: int, r: int):
     """File bytes as a read-only (k x stripes) symbol view, zero-padded."""
+    import numpy as np
+
     width = r // 8
     stripe_bytes = k * width
     pad = -len(data) % stripe_bytes
     if pad:
         data = data + b"\0" * pad
-    flat = np.frombuffer(data, dtype=_symbol_dtype(r))
+    flat = np.frombuffer(data, dtype=payload_dtype(r))
     return flat.reshape(-1, k).T
 
 
-def stripes_to_bytes(matrix: np.ndarray, r: int, length: int) -> bytes:
-    """Reassemble file bytes from a (k x stripes) array, cut to length."""
-    return matrix.T.astype(_symbol_dtype(r), copy=False).tobytes()[:length]
+def _byte_view(row) -> memoryview:
+    view = memoryview(row)
+    return view.cast("B") if view.c_contiguous else memoryview(view.tobytes())
+
+
+def stripes_to_bytes(rows, r: int, length: int) -> bytearray:
+    """Reassemble file bytes from k data rows, cut to length.
+
+    rows holds k >= 1 equal-length buffers, row j being data shard j's
+    payload as stored (bytes, a memoryview, or a row of a symbol array
+    in the on-disk byte order).  Symbol j of every stripe is scattered
+    from row j a block of stripes at a time.
+    """
+    views = [_byte_view(row) for row in rows]
+    k, width, size = len(views), r // 8, len(views[0])
+    step = k * width
+    out = bytearray(size * k)
+    block = max(1, _BLOCK_BYTES // step) * width  # row bytes per pass
+    for start in range(0, size, block):
+        stop = start + block
+        for j, view in enumerate(views):
+            for b in range(width):
+                out[start * k + j * width + b:stop * k:step] = view[start + b:stop:width]
+    del out[length:]
+    return out
 
 
 def shard_filename(index: int) -> str:
     return f"shard-{index:05d}{SHARD_SUFFIX}"
 
 
-def write_shards(outdir: str, header: ShardHeader, codewords: np.ndarray) -> list[str]:
+def write_shards(outdir: str, header: ShardHeader, codewords) -> list[str]:
     """Write one shard file per row of (n x stripes) codewords; returns the paths."""
+    import numpy as np
+
     os.makedirs(outdir, exist_ok=True)
-    dtype = _symbol_dtype(header.r)
+    dtype = payload_dtype(header.r)
     paths = []
     for j in range(header.n):
         path = os.path.join(outdir, shard_filename(j))
         with open(path, "wb") as fh:
             fh.write(header.with_index(j).pack())
-            fh.write(codewords[j].astype(dtype, copy=False).tobytes())
+            fh.write(np.ascontiguousarray(codewords[j], dtype=dtype))
         paths.append(path)
     return paths
 
 
-def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, np.ndarray], list[str]]:
-    """Read shard files, keeping the ones consistent with each other.
+def _read_header(path: str) -> tuple[ShardHeader, int]:
+    """A shard file's header and payload size, reading only the header."""
+    with open(path, "rb", buffering=0) as fh:
+        header = ShardHeader.unpack(fh.read(HEADER_SIZE))
+        return header, os.fstat(fh.fileno()).st_size - HEADER_SIZE
+
+
+def _read_payload(path: str, header: ShardHeader) -> memoryview:
+    """The payload of a shard file whose header and size were checked before."""
+    with open(path, "rb", buffering=0) as fh:
+        raw = fh.read()
+    size = header.stripe_count * header.symbol_width
+    if raw[:HEADER_SIZE] != header.pack() or len(raw) != HEADER_SIZE + size:
+        raise ShardFormatError("changed while being read")
+    return memoryview(raw)[HEADER_SIZE:]
+
+
+def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, memoryview], list[str]]:
+    """Read the k shard payloads a decode uses, checking every shard's header.
+
+    Every file's header is read and its payload size taken from the file
+    system; a shard disagreeing with the consensus header (the first
+    parseable one) on a shared field, with the wrong payload size, or
+    repeating an index counts as missing.  Payloads are then read for
+    the k lowest-index usable shards only: every data shard when all
+    are present, else the data shards present and the lowest parity
+    shards.  Usable shards left unread are erasures to the decoder,
+    which stays within its n - k capacity.
 
     Returns the consensus header (shard_index zeroed), a map from shard
-    index to its symbol row, and human-readable notes about files
-    that were skipped.  Consensus is the first parseable header; any
-    shard disagreeing with it on a shared field counts as missing.
+    index to its payload bytes (all usable shards when fewer than k),
+    and human-readable notes about files that were skipped.
     """
     consensus: ShardHeader | None = None
-    columns: dict[int, np.ndarray] = {}
+    usable: dict[int, tuple[str, ShardHeader]] = {}
     skipped: list[str] = []
     for path in sorted(paths):
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-            header = ShardHeader.unpack(raw)
+            header, size = _read_header(path)
         except (OSError, ShardFormatError) as exc:
             skipped.append(f"{path}: {exc}")
             continue
@@ -167,16 +225,23 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, np.ndarray], l
         elif not header.same_file(consensus):
             skipped.append(f"{path}: header disagrees with other shards")
             continue
-        size = len(raw) - HEADER_SIZE
         expected = header.stripe_count * header.symbol_width
         if size != expected:
             skipped.append(f"{path}: payload is {size} bytes, expected {expected}")
             continue
-        if header.shard_index in columns:
+        if header.shard_index in usable:
             skipped.append(f"{path}: duplicate shard index {header.shard_index}")
             continue
-        columns[header.shard_index] = np.frombuffer(
-            raw, dtype=_symbol_dtype(header.r), offset=HEADER_SIZE)
+        usable[header.shard_index] = (path, header)
     if consensus is None:
         raise InsufficientShardsError("no readable shard files found")
+    columns: dict[int, memoryview] = {}
+    for index in sorted(usable):
+        if len(columns) == consensus.k:
+            break
+        path, header = usable[index]
+        try:
+            columns[index] = _read_payload(path, header)
+        except (OSError, ShardFormatError) as exc:
+            skipped.append(f"{path}: {exc}")
     return consensus, columns, skipped

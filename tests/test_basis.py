@@ -155,3 +155,27 @@ def test_r16_tables_sane(bt16, ft16):
     # spot-check one level against the direct product
     for x in (1 << 5, 12345, 65535):
         assert bt16.eval_w(3, x) == w_direct(ft16, 3, x)
+
+
+def test_r16_w_hat_matches_evaluation(bt16):
+    # every level's first entries, its power-of-two entries and random ones
+    rng = random.Random(27)
+    for i, row in enumerate(bt16.w_hat):
+        assert len(row) == (1 << 16) >> (i + 1)
+        picks = set(range(min(len(row), 9)))
+        picks |= {1 << t for t in range(len(row).bit_length() - 1)}
+        picks |= {rng.randrange(len(row)) for _ in range(20)}
+        picks.add(len(row) - 1)
+        for b in picks:
+            assert row[b] == bt16.eval_w_hat(i, b << (i + 1))
+
+
+def test_r16_b_prod_spot_checks(bt16, ft16):
+    rng = random.Random(28)
+    for i in [0, 1, 2, 3, (1 << 16) - 1] + [rng.randrange(1 << 16) for _ in range(200)]:
+        want = 1
+        for j in range(16):
+            if i >> j & 1:
+                want = ft16.mul(want, bt16.w_prime[j])
+        assert bt16.b_prod[i] == want
+        assert ft16.mul(want, bt16.b_prod_inv[i]) == 1

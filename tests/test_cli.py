@@ -1,11 +1,19 @@
+import collections
+import io
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import binfec
+import binfec.shardfile as shardfile
 from binfec.cli import main
 from binfec.rs import CodeParams, encode
 from binfec.shardfile import HEADER_SIZE, shard_filename
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(binfec.__file__)))
 
 
 def _encode(tmp_path, data, k=128, r=8):
@@ -23,6 +31,88 @@ def test_round_trip_all_shards_present(tmp_path):
     out = tmp_path / "out.bin"
     assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
     assert out.read_bytes() == data
+
+
+def _python(code, *args):
+    """Run code in a fresh interpreter that imports binfec from this tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def shard_reads(monkeypatch):
+    """Bytes read from each shard file, counted as the OS returns them."""
+    reads = collections.Counter()
+
+    class Counting(io.FileIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            reads[os.path.basename(self.name)] += len(data)
+            return data
+
+    def counting_open(path, mode="r", buffering=-1):
+        return Counting(path, "rb") if mode == "rb" else open(path, mode, buffering)
+
+    monkeypatch.setattr(shardfile, "open", counting_open, raising=False)
+    return reads
+
+
+def test_healthy_decode_imports_no_numpy(tmp_path):
+    data = random.Random(108).randbytes(3000)
+    outdir = _encode(tmp_path, data, k=16)
+    for idx in range(16, 256, 3):
+        os.remove(outdir / shard_filename(idx))
+    out = tmp_path / "out.bin"
+    code = ("import sys\n"
+            "from binfec.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy' in sys.modules)\n")
+    stdout = _python(code, "decode", "--shards", outdir, "--out", out)
+    assert stdout.splitlines()[-1] == "False"
+    assert out.read_bytes() == data
+
+
+def test_healthy_decode_reads_no_parity_payload(tmp_path, shard_reads):
+    data = random.Random(109).randbytes(16 * 40 + 5)
+    outdir = _encode(tmp_path, data, k=16)
+    out = tmp_path / "out.bin"
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    assert set(shard_reads) == {shard_filename(j) for j in range(256)}
+    for j in range(256):
+        payload_read = shard_reads[shard_filename(j)] > HEADER_SIZE
+        assert payload_read == (j < 16), j
+
+
+def test_repair_reads_exactly_k_payloads(tmp_path, shard_reads):
+    data = random.Random(110).randbytes(16 * 40 + 5)
+    outdir = _encode(tmp_path, data, k=16)
+    os.remove(outdir / shard_filename(3))  # 255 survivors, one data shard lost
+    out = tmp_path / "out.bin"
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    read = {name for name, size in shard_reads.items() if size > HEADER_SIZE}
+    assert read == {shard_filename(j) for j in range(17) if j != 3}
+
+
+def test_package_names_resolve_lazily():
+    code = ("import sys, binfec\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert set(binfec.__all__) <= set(dir(binfec))\n"
+            "for name in binfec.__all__:\n"
+            "    value = getattr(binfec, name)\n"
+            "    home = sys.modules.get(getattr(value, '__module__', ''), binfec)\n"
+            "    assert getattr(home, name) is value, name\n"
+            "from binfec import *\n"
+            "print(len(binfec.__all__))\n")
+    assert _python(code).strip() == str(len(binfec.__all__))
+    for name in binfec.__all__:
+        assert getattr(binfec, name) is not None
+    with pytest.raises(AttributeError):
+        binfec.no_such_name
 
 
 def test_round_trip_after_deleting_parity_and_data(tmp_path):

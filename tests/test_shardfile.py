@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,21 @@ def test_stripe_packing_r16_little_endian():
     assert stripes_to_bytes(mat, 16, 4) == data
 
 
+def test_stripes_to_bytes_interleaves_block_by_block(monkeypatch):
+    import binfec.shardfile as shardfile
+
+    monkeypatch.setattr(shardfile, "_BLOCK_BYTES", 40)  # several passes, a short last one
+    rng = np.random.default_rng(92)
+    for r, k, stripes in ((8, 4, 37), (8, 16, 5), (16, 4, 23), (16, 8, 1)):
+        rows = rng.integers(0, 1 << r, (k, stripes)).astype(shardfile.payload_dtype(r))
+        want = rows.T.tobytes()
+        for cut in (len(want), len(want) - 3):
+            # array rows, byte strings and memoryviews give the same bytes
+            assert stripes_to_bytes(rows, r, cut) == want[:cut]
+            assert stripes_to_bytes([row.tobytes() for row in rows], r, cut) == want[:cut]
+            assert stripes_to_bytes([memoryview(row.tobytes()) for row in rows], r, cut) == want[:cut]
+
+
 def test_write_and_read_shards_round_trip(tmp_path):
     rng = np.random.default_rng(91)
     header = _header(log2_k=2, original_length=12)  # k=4, 3 stripes
@@ -75,9 +92,15 @@ def test_write_and_read_shards_round_trip(tmp_path):
     consensus, columns, skipped = read_shards(paths)
     assert skipped == []
     assert consensus.same_file(header)
-    assert set(columns) == set(range(256))
-    for j in (0, 17, 255):
-        assert (columns[j] == codewords[j]).all()
+    assert set(columns) == set(range(4))  # the k data shards only
+    for j in columns:
+        assert (np.frombuffer(columns[j], dtype=np.uint8) == codewords[j]).all()
+    # with data shards missing, the lowest parity shards stand in
+    _, columns, skipped = read_shards([paths[j] for j in (0, 17, 255, 3, 254)])
+    assert skipped == []
+    assert set(columns) == {0, 3, 17, 254}
+    for j in columns:
+        assert (np.frombuffer(columns[j], dtype=np.uint8) == codewords[j]).all()
 
 
 def test_read_shards_skips_mismatched_headers(tmp_path):
@@ -100,6 +123,27 @@ def test_read_shards_skips_short_payloads(tmp_path):
         fh.write(b"\0")  # payload now one byte too long
     _, columns, skipped = read_shards(paths)
     assert 3 not in columns and len(skipped) == 1
+
+
+def test_read_shards_replaces_a_shard_that_changes_after_its_header(tmp_path, monkeypatch):
+    import binfec.shardfile as shardfile
+
+    header = _header(log2_k=2, original_length=12)
+    codewords = np.arange(256 * 3).reshape(256, 3) % 251
+    paths = write_shards(str(tmp_path), header, codewords)
+    read_header = shardfile._read_header
+
+    def then_truncate(path):
+        result = read_header(path)
+        if path == paths[2]:
+            os.truncate(path, HEADER_SIZE + 1)
+        return result
+
+    monkeypatch.setattr(shardfile, "_read_header", then_truncate)
+    _, columns, skipped = read_shards(paths)
+    assert set(columns) == {0, 1, 3, 4}
+    assert len(skipped) == 1 and "changed" in skipped[0]
+    assert bytes(columns[4]) == bytes(codewords[4].astype(np.uint8))
 
 
 def test_read_shards_empty_dir():
