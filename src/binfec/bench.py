@@ -6,9 +6,12 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .basis import build_basis_tables
+from .batch import BatchCodec
 from .field import tables_for
-from .rs import CodeParams, ErasurePattern, decode, encode
+from .rs import CodeParams
 from .transform import OpCounter
 
 CSV_HEADER = "n,k,encode_s,decode_s,adds,muls"
@@ -35,44 +38,44 @@ class BenchResult:
 
 def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
               seed: int = 0) -> BenchResult:
-    """Encode and decode a random payload, timing binfec.rs stripe by stripe.
+    """Encode and decode a random payload with BatchCodec, the CLI's codec.
 
-    The payload covers `size` bytes (default: one stripe).  Decoding
-    erases n - k positions chosen by the seeded RNG.  Field-operation
-    totals come from an instrumented re-run of one stripe, outside the
-    timed sections, and are deterministic for a fixed seed.
+    The payload covers `size` bytes (default: one stripe), and one
+    encode and one decode each run over all of its stripes at once.
+    Decoding erases n - k positions chosen by the seeded RNG.
+    Field-operation totals come from an instrumented re-run of the
+    first stripe, outside the timed sections, and are deterministic for
+    a fixed seed.
     """
     n = 1 << r
     if k is None:
         k = n // 2
     cp = CodeParams(r, k)
-    ft = tables_for(r)
-    bt = build_basis_tables(ft, n)
+    codec = BatchCodec(cp, build_basis_tables(tables_for(r), n))
     rng = random.Random(seed)
 
     stripe_bytes = k * (r // 8)
     if size is None:
         size = stripe_bytes
     stripes = max(1, -(-size // stripe_bytes))
-    messages = [[rng.randrange(n) for _ in range(k)] for _ in range(stripes)]
+    messages = np.array([[rng.randrange(n) for _ in range(k)] for _ in range(stripes)],
+                        dtype=codec.dtype).T
 
     t0 = time.perf_counter()
-    codewords = [encode(cp, bt, m) for m in messages]
+    received = codec.encode(messages)
     encode_s = time.perf_counter() - t0
 
-    erased = frozenset(rng.sample(range(n), n - k))
-    pattern = ErasurePattern(n, erased)
-    received = [[0 if j in erased else s for j, s in enumerate(cw.symbols)]
-                for cw in codewords]
+    erased = set(rng.sample(range(n), n - k))
+    received[sorted(erased)] = 0
 
     t0 = time.perf_counter()
-    decoded = [decode(cp, bt, ft, rx, pattern) for rx in received]
+    decoded = codec.decode(received, erased)
     decode_s = time.perf_counter() - t0
 
-    if decoded != messages:
+    if not (decoded == messages).all():
         raise RuntimeError("benchmark decode did not round-trip")
 
     ops = OpCounter()
-    encode(cp, bt, messages[0], ops)
-    decode(cp, bt, ft, received[0], pattern, ops)
+    codec.encode(messages[:, :1], ops)
+    codec.decode(received[:, :1], erased, ops)
     return BenchResult(r, k, stripes, encode_s, decode_s, ops.adds, ops.muls)

@@ -1,21 +1,9 @@
-"""Systematic (n = 2^r, k) Reed-Solomon erasure codes.
+"""Systematic (n = 2^r, k) Reed-Solomon erasure codes, one codeword at a time.
 
-Encoding interprets the k message symbols as evaluations of a unique
-degree-< k polynomial at the first k field points, recovers its
-basis-domain coefficients with one k-point inverse transform, and
-evaluates the remaining n - k points in k-point blocks with shifted
-forward transforms: O(n lg k) field operations, and the first k
-codeword symbols are the message verbatim.
-
-Decoding multiplies the surviving symbols by the erasure locator,
-which extends the damaged evaluation vector to the full product
-polynomial F * locator, a polynomial that is zero at every erased
-point.  One n-point inverse transform, a formal derivative, and one
-n-point forward transform later, each erased value falls out as
-F'hat(j) / locator'(j): O(n lg n) total.
-
-The transforms and the derivative are the one-row views of the row
-kernels that binfec.batch runs on every stripe of a file at once.
+The code's parameters, codeword and erasure pattern live here; the
+pipeline itself, encoding in O(n lg k) and decoding in O(n lg n), is
+binfec.batch.BatchCodec's.  encode() and decode() are its one-column
+view: list in, (h x 1) array through BatchCodec, list out.
 """
 
 from __future__ import annotations
@@ -24,10 +12,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .basis import BasisTables
-from .derivative import derivative_fast
 from .field import FieldTables
-from .transform import CoeffVec, EvalVec, OpCounter, forward, inverse
-from .walsh import locator_values
+from .transform import OpCounter, column
 
 
 class TooManyErasuresError(ValueError):
@@ -88,15 +74,12 @@ class ErasurePattern:
 def encode(cp: CodeParams, bt: BasisTables, message: Sequence[int],
            ops: OpCounter | None = None) -> Codeword:
     """Encode a k-symbol message into the systematic n-symbol codeword."""
+    from .batch import BatchCodec
+
+    codec = BatchCodec(cp, bt)
     if len(message) != cp.k:
         raise ValueError(f"message length {len(message)} != k={cp.k}")
-    _check_tables(cp, bt)
-    coeffs = inverse(bt, EvalVec(list(message), 0), ops)
-    symbols = list(message)
-    for i in range(1, cp.n // cp.k):
-        block = forward(bt, coeffs, i * cp.k, ops)
-        symbols.extend(block.data)
-    return Codeword(symbols)
+    return Codeword(codec.encode(column(bt, list(message)), ops)[:, 0].tolist())
 
 
 def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
@@ -104,52 +87,23 @@ def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
            ops: OpCounter | None = None) -> list[int]:
     """Recover the k message symbols from a codeword with erasures.
 
-    Symbols of `received` at erased positions are ignored; the pattern
-    is the source of truth.  The surviving symbols are assumed
+    Symbols of `received` at erased positions are read as zero; the
+    pattern is the source of truth.  The surviving symbols are assumed
     consistent with some codeword.  Any erasure count up to n - k is
     handled by the same pipeline; an empty pattern is a plain copy.
     """
-    n, k = cp.n, cp.k
-    if len(received) != n:
-        raise ValueError(f"received length {len(received)} != n={n}")
-    if pattern.n != n:
+    from .batch import BatchCodec
+
+    codec = BatchCodec(cp, bt)
+    if len(received) != cp.n:
+        raise ValueError(f"received length {len(received)} != n={cp.n}")
+    if pattern.n != cp.n:
         raise ValueError("erasure pattern built for a different code length")
-    _check_tables(cp, bt)
     if ft is not bt.ft and ft.params != bt.ft.params:
         raise ValueError("field tables do not match basis tables")
-
     erased = pattern.erased
-    if not erased:
-        return list(received[:k])
-    if len(erased) > n - k:
-        raise TooManyErasuresError(
-            f"{len(erased)} erasures exceed repair capacity {n - k}")
-
-    loc = locator_values(ft, erased)
-    mul = ft.mul
-
-    # Surviving symbols scaled by the locator; erased positions are the
-    # locator's roots, so their entries are exactly zero.
-    phi = [0] * n
-    for j, pi in loc.pi_bar.items():
-        phi[j] = mul(received[j], pi)
-    if ops is not None:
-        ops.muls += len(loc.pi_bar)
-
-    coeffs = inverse(bt, EvalVec(phi, 0), ops)
-    dcoeffs = derivative_fast(bt, coeffs, ops)
-    devals = forward(bt, dcoeffs, 0, ops)
-
-    out = list(received[:k])
-    for j in erased:
-        if j < k:
-            prime = loc.pi_prime[j]
-            if prime == 0:
-                raise AssertionError(f"zero locator derivative at {j}")
-            out[j] = mul(devals.data[j], ft.inv(prime))
-            if ops is not None:
-                ops.muls += 1
-    return out
+    a = column(bt, [0 if j in erased else s for j, s in enumerate(received)])
+    return codec.decode(a, erased, ops)[:, 0].tolist()
 
 
 def shorten(cp: CodeParams, message: Sequence[int]) -> list[int]:
@@ -157,10 +111,3 @@ def shorten(cp: CodeParams, message: Sequence[int]) -> list[int]:
     if len(message) > cp.k:
         raise ValueError(f"message length {len(message)} exceeds k={cp.k}")
     return list(message) + [0] * (cp.k - len(message))
-
-
-def _check_tables(cp: CodeParams, bt: BasisTables) -> None:
-    if bt.ft.r != cp.r:
-        raise ValueError(f"basis tables built for r={bt.ft.r}, code needs r={cp.r}")
-    if bt.max_h < cp.k:
-        raise ValueError(f"basis tables capacity {bt.max_h} below k={cp.k}")

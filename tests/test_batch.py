@@ -13,6 +13,11 @@ from oracles import lagrange_eval
 R8_KS = (1, 2, 16, 32, 128)
 
 
+# rs.encode/decode are BatchCodec's one-column view: the *_matches_scalar
+# tests and the r=16 round trip check that many stripes at once give what
+# one column gives; the Lagrange tests below are the independent reference.
+
+
 def test_batch_encode_matches_scalar(bt8):
     rng = np.random.default_rng(81)
     for k in R8_KS:

@@ -13,6 +13,8 @@ from binfec.cli import main
 from binfec.rs import CodeParams, encode
 from binfec.shardfile import HEADER_SIZE, shard_filename
 
+from oracles import lagrange_eval
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(binfec.__file__)))
 
 
@@ -150,7 +152,7 @@ def test_data_shards_hold_original_bytes(tmp_path):
         assert raw[HEADER_SIZE:] == bytes([j])
 
 
-def test_shard_payloads_are_scalar_codeword_symbols(tmp_path, bt8):
+def test_shard_payloads_are_scalar_codeword_symbols(tmp_path, bt8, ft8):
     k = 16
     data = random.Random(107).randbytes(5 * k + 7)  # 6 stripes, the last one short
     outdir = _encode(tmp_path, data, k=k)
@@ -158,6 +160,11 @@ def test_shard_payloads_are_scalar_codeword_symbols(tmp_path, bt8):
     cp = CodeParams(8, k)
     codewords = [encode(cp, bt8, list(padded[s:s + k])).symbols
                  for s in range(0, len(padded), k)]
+    # rs.encode runs the CLI's codec, so the codewords are also held to
+    # the message polynomials interpolated with no basis code
+    for s, cw in enumerate(codewords):
+        ys = list(padded[s * k:(s + 1) * k])
+        assert cw == [lagrange_eval(ft8, list(range(k)), ys, x) for x in range(256)]
     for j in range(256):
         raw = (outdir / shard_filename(j)).read_bytes()
         assert raw[HEADER_SIZE:] == bytes(cw[j] for cw in codewords)
