@@ -15,10 +15,10 @@ import importlib
 # no numpy until a name that needs it is used.
 _EXPORTS = {
     "basis": ["BasisTables", "build_basis_tables"],
+    "batch": ["CodeParams", "TooManyErasuresError"],
     "derivative": ["derivative_direct", "derivative_fast"],
     "field": ["DEFAULT_POLY", "FieldParams", "FieldTables", "build_tables", "tables_for"],
-    "rs": ["CodeParams", "Codeword", "ErasurePattern", "TooManyErasuresError",
-           "decode", "encode", "shorten"],
+    "rs": ["Codeword", "ErasurePattern", "decode", "encode", "shorten"],
     "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward",
                   "forward_counted", "inverse", "inverse_counted", "poly_mul"],
     "walsh": ["LocatorValues", "fwht", "locator_values"],

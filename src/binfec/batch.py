@@ -11,11 +11,12 @@ evaluates the remaining n - k points in k-point blocks with shifted
 forward transforms: O(n lg k) field operations, and the first k rows
 are the message verbatim.
 
-Decoding multiplies the surviving rows by the erasure locator, which
-extends each damaged evaluation vector to the full product polynomial
-F * locator, a polynomial that is zero at every erased point.  One
-n-point inverse transform, a formal derivative, and one n-point
-forward transform later, each erased value falls out as
+Decoding takes only the surviving rows, as a {position: row} map.  If
+every data position survives, its rows are the message.  Otherwise the
+survivors, each scaled by the erasure locator, are evaluations of the
+product F * locator, which is zero at every erased point.  One n-point
+inverse transform, a formal derivative, and one n-point forward
+transform later, each lost data value falls out as
 F'hat(j) / locator'(j): O(n lg n) total.
 
 Every step is a row kernel of binfec.transform or binfec.derivative.
@@ -25,13 +26,41 @@ its one-column view.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from dataclasses import dataclass
+
 import numpy as np
 
 from .basis import BasisTables
 from .derivative import derivative_rows
-from .rs import CodeParams, TooManyErasuresError
 from .transform import OpCounter, forward_rows, inverse_rows, mul_rows, symbol_dtype
 from .walsh import locator_values
+
+
+class TooManyErasuresError(ValueError):
+    """More erasures than the code can repair (above n - k)."""
+
+
+@dataclass(frozen=True)
+class CodeParams:
+    """Code geometry: n = 2^r total symbols, k of them message symbols."""
+
+    r: int
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.k < 1 or self.k & (self.k - 1):
+            raise ValueError(f"k must be a power of two, got {self.k}")
+        if self.k > self.n:
+            raise ValueError(f"k={self.k} exceeds code length n={self.n}")
+
+    @property
+    def n(self) -> int:
+        return 1 << self.r
+
+    @property
+    def parity(self) -> int:
+        return self.n - self.k
 
 
 class BatchCodec:
@@ -61,14 +90,14 @@ class BatchCodec:
     def _derivative(self, a: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
         return derivative_rows(self.bt, a, ops)
 
-    def _symbols(self, a: np.ndarray, ignored: set[int] = frozenset()) -> np.ndarray:
-        # a in the codec's dtype, rows in `ignored` read as zero.  A wider
-        # dtype can hold values outside the field, which the table
-        # gathers would read as other entries: those are rejected.
+    def _symbols(self, a: np.ndarray) -> np.ndarray:
+        # a as (rows x stripes) in the codec's dtype.  A wider dtype can
+        # hold values outside the field, which the table gathers would
+        # read as other entries: those are rejected.
+        if a.ndim != 2:
+            raise ValueError(f"expected a (rows x stripes) array, got shape {a.shape}")
         if a.dtype == self.dtype:
             return a
-        a = a.astype(np.int64)
-        a[sorted(ignored)] = 0
         if ((a < 0) | (a >= self.ft.order)).any():
             raise ValueError(f"symbols must lie in [0, {self.ft.order})")
         return a.astype(self.dtype)
@@ -92,40 +121,45 @@ class BatchCodec:
             self._forward_inplace(block, i * cp.k, ops)
         return out
 
-    def decode(self, received: np.ndarray, erased: set[int],
+    def decode(self, survivors: Mapping[int, np.ndarray],
                ops: OpCounter | None = None) -> np.ndarray:
-        """Recover the (k x stripes) messages; erased rows are ignored.
+        """Recover the (k x stripes) messages from their surviving rows.
 
-        Any erasure count up to n - k takes the same pipeline; with no
-        erasures it returns a copy of the data rows.  ops, if given,
-        also counts the locator scaling (one multiplication per survivor)
-        and the final division (one per lost data row), per stripe.
+        survivors maps codeword positions in [0, n) to rows of equal
+        length: row j holds position j of every stripe.  Any k or more
+        survivors decode.  When every data position survives, its rows
+        are returned with no field arithmetic and ops is left as it is;
+        otherwise ops, if given, also counts the locator scaling (one
+        multiplication per survivor) and the final division (one per
+        lost data row), per stripe.
         """
-        cp = self.cp
-        n, k = cp.n, cp.k
-        if received.shape[0] != n:
-            raise ValueError(f"received rows {received.shape[0]} != n={n}")
-        if len(erased) > n - k:
+        n, k = self.cp.n, self.cp.k
+        if not all(0 <= j < n for j in survivors):
+            raise ValueError(f"survivor positions must lie in [0, {n})")
+        if len(survivors) < k:
             raise TooManyErasuresError(
-                f"{len(erased)} erasures exceed repair capacity {n - k}")
-        received = self._symbols(received, erased)
-        out = received[:k].copy()
-        if not erased:
-            return out
+                f"{n - len(survivors)} erasures exceed repair capacity {n - k}")
+        lost = [j for j in range(k) if j not in survivors]
+        known = sorted(survivors) if lost else range(k)
+        # np.stack checks that every row has the same shape
+        rows = self._symbols(np.stack([survivors[j] for j in known]))
+        if not lost:
+            return rows
 
-        loc = locator_values(self.ft, erased)
-        pi_row = np.zeros(n, dtype=self.dtype)
-        pi_row[list(loc.pi_bar)] = list(loc.pi_bar.values())
-
-        # Erased rows are the locator's roots, so they scale to zero.
-        phi = mul_rows(self.ft, received, pi_row)
+        loc = locator_values(self.ft, set(range(n)).difference(known))
+        pi = np.array([loc.pi_bar[j] for j in known], dtype=self.dtype)
+        # Erased points are the locator's roots, so their rows stay zero.
+        phi = np.zeros((n, rows.shape[1]), dtype=self.dtype)
+        phi[known] = mul_rows(self.ft, rows, pi)
         self._inverse_inplace(phi, 0, ops)
         dcoeffs = self._derivative(phi, ops)
         self._forward_inplace(dcoeffs, 0, ops)
 
-        lost = sorted(j for j in erased if j < k)
+        kept = k - len(lost)  # known[:kept] are the surviving data rows
+        out = np.empty((k, rows.shape[1]), dtype=self.dtype)
+        out[known[:kept]] = rows[:kept]
         inv = np.array([self.ft.inv(loc.pi_prime[j]) for j in lost], dtype=self.dtype)
         out[lost] = mul_rows(self.ft, dcoeffs[lost], inv)
         if ops is not None:
-            ops.muls += (len(loc.pi_bar) + len(lost)) * received.shape[1]
+            ops.muls += (len(known) + len(lost)) * rows.shape[1]
         return out

@@ -37,8 +37,7 @@ from .shardfile import (
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    from .batch import BatchCodec
-    from .rs import CodeParams
+    from .batch import BatchCodec, CodeParams
 
     r, k = args.r, args.k
     if k < 1 or k & (k - 1) or k >= (1 << r):
@@ -65,17 +64,12 @@ def _repair(header: ShardHeader, columns: dict[int, memoryview]):
     """The (k x stripes) data rows rebuilt by the codec from k shard payloads."""
     import numpy as np
 
-    from .batch import BatchCodec
-    from .rs import CodeParams
+    from .batch import BatchCodec, CodeParams
 
-    n, k = header.n, header.k
     ft = tables_for(header.r, header.reduction_poly)
-    codec = BatchCodec(CodeParams(header.r, k), build_basis_tables(ft, n))
+    codec = BatchCodec(CodeParams(header.r, header.k), build_basis_tables(ft, header.n))
     dtype = payload_dtype(header.r)
-    received = np.zeros((n, header.stripe_count), dtype=codec.dtype)
-    for j, payload in columns.items():
-        received[j] = np.frombuffer(payload, dtype=dtype)
-    messages = codec.decode(received, set(range(n)) - set(columns))
+    messages = codec.decode({j: np.frombuffer(p, dtype) for j, p in columns.items()})
     return messages.astype(dtype, copy=False)
 
 

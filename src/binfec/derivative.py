@@ -72,6 +72,7 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
     for l in range(h.bit_length() - 1):
         shape = (h >> (l + 1), 2, a.size // (h >> l))
         acc.reshape(shape)[:, 0] ^= scaled.reshape(shape)[:, 1]
+    del scaled  # one array fewer alive during the final mul_rows
     if ops is not None:
         stripes = a.size // h
         ops.adds += (h // 2 * (h.bit_length() - 1) - (h - 1)) * stripes

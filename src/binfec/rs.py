@@ -1,9 +1,9 @@
 """Systematic (n = 2^r, k) Reed-Solomon erasure codes, one codeword at a time.
 
-The code's parameters, codeword and erasure pattern live here; the
-pipeline itself, encoding in O(n lg k) and decoding in O(n lg n), is
-binfec.batch.BatchCodec's.  encode() and decode() are its one-column
-view: list in, (h x 1) array through BatchCodec, list out.
+The codeword and erasure pattern live here; CodeParams (re-exported)
+and the pipeline itself, encoding in O(n lg k) and decoding in
+O(n lg n), are binfec.batch's.  encode() and decode() are BatchCodec's
+one-column view: list in, (h x 1) array through BatchCodec, list out.
 """
 
 from __future__ import annotations
@@ -12,35 +12,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .basis import BasisTables
+from .batch import BatchCodec, CodeParams, TooManyErasuresError
 from .field import FieldTables
 from .transform import OpCounter, column
-
-
-class TooManyErasuresError(ValueError):
-    """More erasures than the code can repair (above n - k)."""
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Code geometry: n = 2^r total symbols, k of them message symbols."""
-
-    r: int
-    k: int
-
-    def __post_init__(self) -> None:
-        n = 1 << self.r
-        if self.k < 1 or self.k & (self.k - 1):
-            raise ValueError(f"k must be a power of two, got {self.k}")
-        if self.k > n:
-            raise ValueError(f"k={self.k} exceeds code length n={n}")
-
-    @property
-    def n(self) -> int:
-        return 1 << self.r
-
-    @property
-    def parity(self) -> int:
-        return self.n - self.k
 
 
 @dataclass(frozen=True)
@@ -74,8 +48,6 @@ class ErasurePattern:
 def encode(cp: CodeParams, bt: BasisTables, message: Sequence[int],
            ops: OpCounter | None = None) -> Codeword:
     """Encode a k-symbol message into the systematic n-symbol codeword."""
-    from .batch import BatchCodec
-
     codec = BatchCodec(cp, bt)
     if len(message) != cp.k:
         raise ValueError(f"message length {len(message)} != k={cp.k}")
@@ -87,13 +59,12 @@ def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
            ops: OpCounter | None = None) -> list[int]:
     """Recover the k message symbols from a codeword with erasures.
 
-    Symbols of `received` at erased positions are read as zero; the
-    pattern is the source of truth.  The surviving symbols are assumed
+    Symbols of `received` at erased positions are ignored; the pattern
+    is the source of truth.  The surviving symbols are assumed
     consistent with some codeword.  Any erasure count up to n - k is
-    handled by the same pipeline; an empty pattern is a plain copy.
+    handled by the same pipeline; a pattern that spares every message
+    position is a plain copy.
     """
-    from .batch import BatchCodec
-
     codec = BatchCodec(cp, bt)
     if len(received) != cp.n:
         raise ValueError(f"received length {len(received)} != n={cp.n}")
@@ -103,7 +74,7 @@ def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
         raise ValueError("field tables do not match basis tables")
     erased = pattern.erased
     a = column(bt, [0 if j in erased else s for j, s in enumerate(received)])
-    return codec.decode(a, erased, ops)[:, 0].tolist()
+    return codec.decode({j: a[j] for j in pattern.known}, ops)[:, 0].tolist()
 
 
 def shorten(cp: CodeParams, message: Sequence[int]) -> list[int]:

@@ -3,9 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from binfec.batch import BatchCodec
-from binfec.rs import CodeParams, ErasurePattern, TooManyErasuresError, decode, encode
-from binfec.transform import _CHUNK
+from binfec.batch import BatchCodec, CodeParams, TooManyErasuresError
+from binfec.cli import _repair
+from binfec.field import DEFAULT_POLY
+from binfec.rs import ErasurePattern, decode, encode
+from binfec.shardfile import ShardHeader, bytes_to_stripes, stripes_to_bytes
+from binfec.transform import _CHUNK, OpCounter
 
 from oracles import lagrange_eval
 
@@ -16,6 +19,10 @@ R8_KS = (1, 2, 16, 32, 128)
 # rs.encode/decode are BatchCodec's one-column view: the *_matches_scalar
 # tests and the r=16 round trip check that many stripes at once give what
 # one column gives; the Lagrange tests below are the independent reference.
+
+
+def _survivors(enc, erased):
+    return {j: enc[j] for j in range(enc.shape[0]) if j not in erased}
 
 
 def test_batch_encode_matches_scalar(bt8):
@@ -43,7 +50,7 @@ def test_batch_decode_matches_scalar(bt8, ft8):
             erased = set(pyrng.sample(range(256), size))
             received = enc.copy()
             received[sorted(erased)] = 0
-            dec = codec.decode(received, erased)
+            dec = codec.decode(_survivors(enc, erased))
             assert (dec == msgs).all()
             for col in range(0, 20, 7):
                 want = decode(cp, bt8, ft8, [int(x) for x in received[:, col]],
@@ -57,7 +64,7 @@ def test_batch_decode_no_erasures(bt8):
     codec = BatchCodec(cp, bt8)
     msgs = rng.integers(0, 256, (16, 5), dtype=np.uint16)
     enc = codec.encode(msgs)
-    assert (codec.decode(enc, set()) == msgs).all()
+    assert (codec.decode(_survivors(enc, set())) == msgs).all()
 
 
 def test_batch_too_many_erasures(bt8):
@@ -65,7 +72,7 @@ def test_batch_too_many_erasures(bt8):
     codec = BatchCodec(cp, bt8)
     enc = codec.encode(np.zeros((128, 2), dtype=np.uint16))
     with pytest.raises(TooManyErasuresError):
-        codec.decode(enc, set(range(129)))
+        codec.decode(_survivors(enc, set(range(129))))
 
 
 def test_batch_r16_round_trip(bt16):
@@ -78,9 +85,7 @@ def test_batch_r16_round_trip(bt16):
     want = encode(cp, bt16, [int(x) for x in msgs[:, 0]]).symbols
     assert want == [int(x) for x in enc[:, 0]]
     erased = set(pyrng.sample(range(1 << 16), 60_000))
-    received = enc.copy()
-    received[sorted(erased)] = 0
-    assert (codec.decode(received, erased) == msgs).all()
+    assert (codec.decode(_survivors(enc, erased)) == msgs).all()
 
 
 def _assert_parity_matches_lagrange(ft, k, msgs, enc, stripes, positions):
@@ -107,9 +112,7 @@ def test_batch_multi_stripe_matches_lagrange_oracle(bt8, ft8):
         picks = [0, stripes - 1] + pyrng.sample(range(1, stripes - 1), 3)
         _assert_parity_matches_lagrange(ft8, 16, msgs, enc, picks, range(16, 256))
         erased = set(pyrng.sample(range(256), 240))
-        received = enc.copy()
-        received[sorted(erased)] = 0
-        assert (codec.decode(received, erased) == msgs).all()
+        assert (codec.decode(_survivors(enc, erased)) == msgs).all()
 
 
 def test_batch_r16_multi_stripe_matches_lagrange_oracle(bt16, ft16):
@@ -124,9 +127,7 @@ def test_batch_r16_multi_stripe_matches_lagrange_oracle(bt16, ft16):
     positions = [16, n - 1] + pyrng.sample(range(17, n - 1), 200)
     _assert_parity_matches_lagrange(ft16, 16, msgs, enc, range(3), positions)
     erased = set(pyrng.sample(range(n), n - 16))
-    received = enc.copy()
-    received[sorted(erased)] = 0
-    assert (codec.decode(received, erased) == msgs).all()
+    assert (codec.decode(_survivors(enc, erased)) == msgs).all()
 
 
 def test_batch_shape_validation(bt8):
@@ -136,8 +137,19 @@ def test_batch_shape_validation(bt8):
         codec.encode(np.zeros((16, 2), dtype=np.uint16))
     with pytest.raises(ValueError):
         codec.encode(np.full((32, 2), 256, dtype=np.uint16))
+
+
+def test_batch_decode_rejects_invalid_survivor_maps(bt8):
+    codec = BatchCodec(CodeParams(8, 32), bt8)
+    enc = codec.encode(np.zeros((32, 4), dtype=np.uint8))
+    with pytest.raises(TooManyErasuresError):
+        codec.decode({j: enc[j] for j in range(1, 32)})  # k - 1 survivors
     with pytest.raises(ValueError):
-        codec.decode(np.zeros((128, 2), dtype=np.uint16), {1})
+        codec.decode({j: enc[j] for j in range(1, 32)} | {256: enc[0]})
+    with pytest.raises(ValueError):
+        codec.decode({j: enc[j] for j in range(1, 33)} | {40: enc[40, :3]})
+    with pytest.raises(ValueError):
+        codec.decode({j: enc[j:j + 1] for j in range(1, 33)})  # 2-D rows
 
 
 def test_batch_decode_rejects_symbols_outside_the_field(bt8):
@@ -147,16 +159,37 @@ def test_batch_decode_rejects_symbols_outside_the_field(bt8):
     received = codec.encode(np.zeros((16, 3), dtype=np.uint8)).astype(np.uint16)
     received[20, 1] = 256
     with pytest.raises(ValueError):
-        codec.decode(received, {0})
+        codec.decode(_survivors(received, {0}))
 
 
-def test_batch_decode_reads_no_erased_row(bt8):
-    # erased rows may hold anything, even values outside the field
+def test_batch_decode_takes_survivors_in_a_wider_dtype(bt8):
+    # int16 rows, as a caller might hold them, decode like the codec's own
     codec = BatchCodec(CodeParams(8, 16), bt8)
     msgs = np.arange(48, dtype=np.uint8).reshape(16, 3)
-    received = codec.encode(msgs).astype(np.int16)
-    erased = {0, 5, 17, 200}
-    received[sorted(erased)] = -1
-    assert (codec.decode(received, erased) == msgs).all()
-    received[sorted(erased)] = 300
-    assert (codec.decode(received, erased) == msgs).all()
+    enc = codec.encode(msgs).astype(np.int16)
+    dec = codec.decode(_survivors(enc, {0, 5, 17, 200}))
+    assert dec.dtype == np.uint8
+    assert (dec == msgs).all()
+
+
+def test_batch_decode_of_parity_loss_does_no_field_arithmetic(bt8):
+    codec = BatchCodec(CodeParams(8, 16), bt8)
+    msgs = np.random.default_rng(87).integers(0, 256, (16, 5), dtype=np.uint8)
+    enc = codec.encode(msgs)
+    ops = OpCounter()
+    assert (codec.decode(_survivors(enc, set(range(16, 256))), ops) == msgs).all()
+    assert (ops.adds, ops.muls) == (0, 0)
+
+
+def test_repair_r16_from_the_k_lowest_payloads(bt16):
+    # _repair's glue at r=16: little-endian two-byte payloads as read_shards
+    # returns them, no shard files involved
+    data = random.Random(88).randbytes(1000)
+    k = 16
+    header = ShardHeader(r=16, log2_k=4, shard_index=0, original_length=len(data),
+                         reduction_poly=DEFAULT_POLY[16])
+    enc = BatchCodec(CodeParams(16, k), bt16).encode(bytes_to_stripes(data, k, 16))
+    known = [j for j in range(1 << 16) if j not in {3, 10, 11, 12}][:k]
+    columns = {j: memoryview(enc[j].astype("<u2").tobytes()) for j in known}
+    rows = _repair(header, columns)
+    assert bytes(stripes_to_bytes(rows, 16, len(data))) == data
