@@ -21,7 +21,7 @@ _EXPORTS = {
     "rs": ["Codeword", "ErasurePattern", "decode", "encode", "shorten"],
     "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward",
                   "forward_counted", "inverse", "inverse_counted", "poly_mul"],
-    "walsh": ["LocatorValues", "fwht", "locator_values"],
+    "walsh": ["fwht", "locator_values"],
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from .basis import BasisTables
 from .derivative import derivative_rows
-from .transform import OpCounter, forward_rows, inverse_rows, mul_rows, symbol_dtype
+from .transform import (OpCounter, forward_rows, inverse_rows, inverse_table, mul_rows,
+                        symbol_dtype)
 from .walsh import locator_values
 
 
@@ -146,11 +147,13 @@ class BatchCodec:
         if not lost:
             return rows
 
-        loc = locator_values(self.ft, set(range(n)).difference(known))
-        pi = np.array([loc.pi_bar[j] for j in known], dtype=self.dtype)
+        known = np.array(known)
+        erased = np.ones(n, dtype=bool)
+        erased[known] = False
+        loc = locator_values(self.ft, np.flatnonzero(erased))
         # Erased points are the locator's roots, so their rows stay zero.
         phi = np.zeros((n, rows.shape[1]), dtype=self.dtype)
-        phi[known] = mul_rows(self.ft, rows, pi)
+        phi[known] = mul_rows(self.ft, rows, loc[known])
         self._inverse_inplace(phi, 0, ops)
         dcoeffs = self._derivative(phi, ops)
         self._forward_inplace(dcoeffs, 0, ops)
@@ -158,8 +161,7 @@ class BatchCodec:
         kept = k - len(lost)  # known[:kept] are the surviving data rows
         out = np.empty((k, rows.shape[1]), dtype=self.dtype)
         out[known[:kept]] = rows[:kept]
-        inv = np.array([self.ft.inv(loc.pi_prime[j]) for j in lost], dtype=self.dtype)
-        out[lost] = mul_rows(self.ft, dcoeffs[lost], inv)
+        out[lost] = mul_rows(self.ft, dcoeffs[lost], inverse_table(self.ft)[loc[lost]])
         if ops is not None:
             ops.muls += (len(known) + len(lost)) * rows.shape[1]
         return out

@@ -40,12 +40,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     from .batch import BatchCodec, CodeParams
 
     r, k = args.r, args.k
-    if k < 1 or k & (k - 1) or k >= (1 << r):
-        raise ValueError(f"k must be a power of two below {1 << r}, got {k}")
+    cp = CodeParams(r, k)
+    if k >= cp.n:  # a shard header holds log2(k) below r
+        raise ValueError(f"k must be below n={cp.n}, got {k}")
     with open(args.input, "rb") as fh:
         data = fh.read()
 
-    cp = CodeParams(r, k)
     ft = tables_for(r)
     bt = build_basis_tables(ft, cp.n)
     header = ShardHeader(r=r, log2_k=k.bit_length() - 1, shard_index=0,

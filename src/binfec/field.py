@@ -25,19 +25,17 @@ DEFAULT_POLY = {
 
 SUPPORTED_R = (8, 16)
 
+# The generator the log table is built from: element index 2 is the
+# polynomial x, which is primitive for both default reduction polynomials.
+ALPHA = 2
+
 
 @dataclass(frozen=True)
 class FieldParams:
-    """Fixed parameters of a GF(2^r) instance.
-
-    alpha_index is the index of the generator the log table is built
-    from; index 2 is the polynomial x, which is primitive for both
-    default reduction polynomials.
-    """
+    """Fixed parameters of a GF(2^r) instance."""
 
     r: int
     reduction_poly: int
-    alpha_index: int = 2
 
     def __post_init__(self) -> None:
         if self.r not in SUPPORTED_R:
@@ -46,8 +44,6 @@ class FieldParams:
             raise ValueError(
                 f"reduction polynomial {self.reduction_poly:#x} must have degree {self.r}"
             )
-        if not 0 < self.alpha_index < (1 << self.r):
-            raise ValueError("alpha_index out of range")
 
     @property
     def order(self) -> int:
@@ -57,7 +53,7 @@ class FieldParams:
 class FieldTables:
     """Immutable log/exp tables for one GF(2^r) instance.
 
-    exp[j] = alpha^j for j in [0, 2^r - 1); log[exp[j]] = j.  Safe to
+    exp[j] = ALPHA^j for j in [0, 2^r - 1); log[exp[j]] = j.  Safe to
     share across threads once built.
     """
 
@@ -93,23 +89,18 @@ class FieldTables:
             return 0
         return self.exp[(self.log[a] - self.log[b]) % self.mult_order]
 
-    def pow_alpha(self, e: int) -> int:
-        """alpha^e for any integer exponent (reduced mod 2^r - 1)."""
-        return self.exp[e % self.mult_order]
-
 
 def build_tables(params: FieldParams) -> FieldTables:
-    """Build log/exp tables by repeated multiplication by alpha.
+    """Build log/exp tables by repeated multiplication by ALPHA.
 
-    Rejects reduction polynomials for which alpha does not generate the
+    Rejects reduction polynomials for which ALPHA does not generate the
     full multiplicative group: reducible polynomials and primitive-free
-    choices both surface here, because alpha's powers then fail to
+    choices both surface here, because ALPHA's powers then fail to
     visit all 2^r - 1 nonzero residues exactly once.
     """
     r = params.r
     order = params.order
     poly = params.reduction_poly
-    alpha = params.alpha_index
 
     log = [-1] * order
     exp = [0] * (order - 1)
@@ -118,13 +109,13 @@ def build_tables(params: FieldParams) -> FieldTables:
         if log[val] != -1:
             raise ValueError(
                 f"reduction polynomial {poly:#x} is not primitive for r={r}: "
-                f"alpha={alpha} cycles after {i} steps"
+                f"alpha={ALPHA} cycles after {i} steps"
             )
         exp[i] = val
         log[val] = i
-        val = _mul_slow(val, alpha, poly, r)
+        val = _mul_slow(val, ALPHA, poly, r)
     if val != 1:
-        # Can only happen for a reducible modulus where alpha is not a unit.
+        # Can only happen for a reducible modulus where ALPHA is not a unit.
         raise ValueError(f"reduction polynomial {poly:#x} is reducible for r={r}")
     log[0] = 0  # convention: log of zero is stored as 0, and never consulted
     return FieldTables(params, log, exp)

@@ -161,6 +161,15 @@ def basis_arrays(bt: BasisTables) -> BasisArrays:
                        np.asarray(bt.b_prod_inv, dtype=dtype))
 
 
+@derived
+def inverse_table(ft: FieldTables) -> np.ndarray:
+    """Entry a is a's multiplicative inverse (entry 0 is 0), read-only."""
+    inv = np.asarray(ft.exp, dtype=symbol_dtype(ft))[-np.asarray(ft.log) % ft.mult_order]
+    inv[0] = 0
+    inv.flags.writeable = False
+    return inv
+
+
 def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Product of each row v[b] with the field scalar factors[b]."""
     out = np.empty(v.shape, dtype=symbol_dtype(ft))

@@ -7,37 +7,25 @@ formula in the log domain: a convolution of the erasure indicator with
 the discrete-log table, indexed by XOR.  The Walsh-Hadamard transform
 diagonalizes XOR-convolution, so both sets of values come out of two
 length-2^r transforms over the integers mod 2^r - 1 plus pointwise
-work.  Because 2^r is congruent to 1 modulo 2^r - 1, the transform is
-its own inverse and no normalization step exists.
+work, as one array indexed by position.  Because 2^r is congruent to 1
+modulo 2^r - 1, the transform is its own inverse and no normalization
+step exists.
 
-The log table's transform depends only on the field, so it is computed
-once per FieldTables and cached.
+The log table's transform and the exp table as an array depend only on
+the field, so they are computed once per FieldTables and cached.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from .field import FieldTables, derived
+from .transform import symbol_dtype
 
 # ResidueVec: a list of ints in [0, modulus), transformed in place.
 ResidueVec = list[int]
-
-
-@dataclass
-class LocatorValues:
-    """Locator values split by position class.
-
-    pi_bar[j] is the locator value at j for every surviving position;
-    pi_prime[j] is the locator's formal derivative at j for every
-    erased position.  Both are nonzero for distinct erasures.
-    """
-
-    pi_bar: dict[int, int]
-    pi_prime: dict[int, int]
 
 
 def fwht(data: ResidueVec, modulus: int) -> ResidueVec:
@@ -75,38 +63,40 @@ def _fwht_of_log(ft: FieldTables) -> np.ndarray:
     return a
 
 
-def locator_values(ft: FieldTables, erasures: Iterable[int]) -> LocatorValues:
+@derived
+def _exp_table(ft: FieldTables) -> np.ndarray:
+    """ft.exp as a read-only symbol array."""
+    a = np.asarray(ft.exp, dtype=symbol_dtype(ft))
+    a.flags.writeable = False
+    return a
+
+
+def locator_values(ft: FieldTables, erasures: Iterable[int]) -> np.ndarray:
     """Locator values for an erasure set, all positions at once.
+
+    Entry j of the returned length-2^r symbol array is the locator's
+    value at j for every surviving position j, and its formal
+    derivative at j for every erased position j; all are nonzero.
 
     Never forms the locator polynomial itself: works entirely in the
     log domain, where products over erased elements become sums.  The
     erased positions contribute log(0) = 0 to their own entry, which is
     exactly what turns that entry into the derivative value.
     """
-    positions = list(erasures)
-    erased = set(positions)
-    if not erased:
+    positions = np.asarray(erasures if isinstance(erasures, np.ndarray)
+                           else list(erasures))
+    if not positions.size:
         raise ValueError("erasure set must not be empty")
-    if len(erased) != len(positions):
-        raise ValueError("duplicate erasure positions")
     n = ft.order
-    if len(erased) > n - 1:
+    outside = positions[(positions < 0) | (positions >= n)]
+    if outside.size:
+        raise ValueError(f"erasure position {outside[0]} outside field of size {n}")
+    indicator = np.bincount(positions.astype(np.intp), minlength=n)
+    if indicator.max() > 1:
+        raise ValueError("duplicate erasure positions")
+    if positions.size > n - 1:
         raise ValueError("erasure set must leave at least one survivor")
-    for e in erased:
-        if not 0 <= e < n:
-            raise ValueError(f"erasure position {e} outside field of size {n}")
 
     m = ft.mult_order
-    indicator = np.zeros(n, dtype=np.int64)
-    indicator[positions] = 1
     mixed = _fwht(indicator, m) * _fwht_of_log(ft) % m
-    values = np.asarray(ft.exp)[_fwht(mixed, m)].tolist()
-
-    pi_bar: dict[int, int] = {}
-    pi_prime: dict[int, int] = {}
-    for j, value in enumerate(values):
-        if j in erased:
-            pi_prime[j] = value
-        else:
-            pi_bar[j] = value
-    return LocatorValues(pi_bar, pi_prime)
+    return _exp_table(ft)[_fwht(mixed, m)]

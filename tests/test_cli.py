@@ -212,6 +212,17 @@ def test_encode_rejects_bad_k(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+def test_encode_rejects_k_equal_to_n(tmp_path, capsys):
+    # a header stores log2(k) below r, so k = n could never be decoded
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"hello")
+    outdir = tmp_path / "s"
+    assert main(["encode", "--in", str(src), "--out", str(outdir),
+                 "--r", "8", "--k", "256"]) != 0
+    assert "below n=256" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*" + shardfile.SHARD_SUFFIX))
+
+
 def test_encode_missing_input_errors(tmp_path, capsys):
     assert main(["encode", "--in", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "s")]) != 0

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from binfec.walsh import fwht, locator_values
@@ -32,17 +33,17 @@ def test_fwht_rejects_bad_length():
 def test_single_erasure_locator(ft8):
     for e in (0, 1, 93, 255):
         loc = locator_values(ft8, {e})
-        assert loc.pi_prime[e] == 1
+        assert loc[e] == 1
         for j in range(256):
             if j != e:
-                assert loc.pi_bar[j] == j ^ e
+                assert loc[j] == j ^ e
 
 
 def test_two_erasures_closed_form(ft8):
     loc = locator_values(ft8, {0, 1})
-    assert loc.pi_prime[0] == 1
-    assert loc.pi_prime[1] == 1
-    assert loc.pi_bar[2] == ft8.mul(2, 3)
+    assert loc[0] == 1
+    assert loc[1] == 1
+    assert loc[2] == ft8.mul(2, 3)
 
 
 def test_matches_direct_product_oracle(ft8):
@@ -52,18 +53,16 @@ def test_matches_direct_product_oracle(ft8):
             erased = set(rng.sample(range(256), size))
             loc = locator_values(ft8, erased)
             for j in range(256):
-                want = locator_direct(ft8, erased, j)
-                got = loc.pi_prime[j] if j in erased else loc.pi_bar[j]
-                assert got == want
+                assert loc[j] == locator_direct(ft8, erased, j)
 
 
-def test_partition_of_positions(ft8):
+def test_one_nonzero_value_per_position(ft8):
     erased = set(random.Random(53).sample(range(256), 40))
     loc = locator_values(ft8, erased)
-    assert set(loc.pi_prime) == erased
-    assert set(loc.pi_bar) == set(range(256)) - erased
-    assert all(v != 0 for v in loc.pi_prime.values())
-    assert all(v != 0 for v in loc.pi_bar.values())
+    assert loc.shape == (256,)
+    assert (loc != 0).all()
+    # decode passes the erased positions as an array
+    assert (locator_values(ft8, np.array(sorted(erased))) == loc).all()
 
 
 def test_input_validation(ft8):
@@ -73,6 +72,12 @@ def test_input_validation(ft8):
         locator_values(ft8, [3, 3])
     with pytest.raises(ValueError):
         locator_values(ft8, [256])
+    with pytest.raises(ValueError):
+        locator_values(ft8, [-1])
+    with pytest.raises(ValueError):
+        locator_values(ft8, np.array([5, 9, 5]))
+    with pytest.raises(ValueError):
+        locator_values(ft8, np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
         locator_values(ft8, range(256))  # no survivor left
 
@@ -90,6 +95,6 @@ def test_r16_locator_spot_checks(ft16):
     erased = set(rng.sample(range(1 << 16), 100))
     loc = locator_values(ft16, erased)
     for j in list(erased)[:5]:
-        assert loc.pi_prime[j] == locator_direct(ft16, erased, j)
+        assert loc[j] == locator_direct(ft16, erased, j)
     for j in rng.sample(sorted(set(range(1 << 16)) - erased), 5):
-        assert loc.pi_bar[j] == locator_direct(ft16, erased, j)
+        assert loc[j] == locator_direct(ft16, erased, j)
