@@ -1,10 +1,10 @@
 """Reed-Solomon erasure coding over GF(2^r) with an O(h lg h) transform.
 
-The public surface, bottom up: field tables (`tables_for`,
-`build_tables`), the evaluation basis (`build_basis_tables`), the
-basis transform and polynomial ops (`forward`, `inverse`, `poly_mul`,
-`degree`), the formal derivative, the Walsh-Hadamard erasure locator,
-and the systematic codec (`encode`, `decode`).  The CLI in
+The public surface, bottom up: field tables (`tables_for`), the
+evaluation basis (`build_basis_tables`), the basis transform and
+polynomial ops (`forward`, `inverse`, `poly_mul`, `degree`), the
+formal derivative, the Walsh-Hadamard erasure locator, and the
+systematic codec (`encode`, `decode`).  The CLI in
 `binfec.cli` wraps the codec for whole files.
 """
 
@@ -17,7 +17,7 @@ _EXPORTS = {
     "basis": ["BasisTables", "build_basis_tables"],
     "batch": ["CodeParams", "TooManyErasuresError"],
     "derivative": ["derivative_direct", "derivative_fast"],
-    "field": ["DEFAULT_POLY", "FieldParams", "FieldTables", "build_tables", "tables_for"],
+    "field": ["DEFAULT_POLY", "FieldTables", "tables_for"],
     "rs": ["Codeword", "ErasurePattern", "decode", "encode", "shorten"],
     "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward",
                   "forward_counted", "inverse", "inverse_counted", "poly_mul"],

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .basis import build_basis_tables
-from .field import DEFAULT_POLY, tables_for
+from .field import tables_for
 from .shardfile import (
     InsufficientShardsError,
     SHARD_SUFFIX,
@@ -49,8 +49,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     ft = tables_for(r)
     bt = build_basis_tables(ft, cp.n)
     header = ShardHeader(r=r, log2_k=k.bit_length() - 1, shard_index=0,
-                         original_length=len(data),
-                         reduction_poly=DEFAULT_POLY[r])
+                         original_length=len(data))
 
     stripes = bytes_to_stripes(data, k, r)
     codewords = BatchCodec(cp, bt).encode(stripes)
@@ -66,7 +65,7 @@ def _repair(header: ShardHeader, columns: dict[int, memoryview]):
 
     from .batch import BatchCodec, CodeParams
 
-    ft = tables_for(header.r, header.reduction_poly)
+    ft = tables_for(header.r)
     codec = BatchCodec(CodeParams(header.r, header.k), build_basis_tables(ft, header.n))
     dtype = payload_dtype(header.r)
     messages = codec.decode({j: np.frombuffer(p, dtype) for j, p in columns.items()})

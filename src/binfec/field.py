@@ -7,47 +7,25 @@ Under that choice the representation of element i is the integer i
 itself, so field addition is XOR of indices: elem(a) + elem(b) =
 elem(a ^ b).  Every module above this one relies on that identity.
 
-Multiplication and inversion go through full log/exp tables built once
-per (r, reduction polynomial) pair.  log[0] is stored as 0; the zero
-element is handled by explicit branches, never by the table.
+Each supported width r has one fixed primitive reduction polynomial,
+DEFAULT_POLY[r].  Multiplication and inversion go through full log/exp
+tables built once per width.  log[0] is stored as 0; the zero element
+is handled by explicit branches, never by the table.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-# Primitive reduction polynomials, one per supported bit width.
+# The primitive reduction polynomial of each supported bit width.
 DEFAULT_POLY = {
     8: 0x11D,    # x^8 + x^4 + x^3 + x^2 + 1
     16: 0x1100B, # x^16 + x^12 + x^3 + x + 1
 }
 
-SUPPORTED_R = (8, 16)
-
 # The generator the log table is built from: element index 2 is the
 # polynomial x, which is primitive for both default reduction polynomials.
 ALPHA = 2
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """Fixed parameters of a GF(2^r) instance."""
-
-    r: int
-    reduction_poly: int
-
-    def __post_init__(self) -> None:
-        if self.r not in SUPPORTED_R:
-            raise ValueError(f"unsupported field width r={self.r}; supported: {SUPPORTED_R}")
-        if self.reduction_poly.bit_length() != self.r + 1:
-            raise ValueError(
-                f"reduction polynomial {self.reduction_poly:#x} must have degree {self.r}"
-            )
-
-    @property
-    def order(self) -> int:
-        return 1 << self.r
 
 
 class FieldTables:
@@ -57,11 +35,10 @@ class FieldTables:
     share across threads once built.
     """
 
-    def __init__(self, params: FieldParams, log: list[int], exp: list[int]):
-        self.params = params
-        self.r = params.r
-        self.order = params.order          # 2^r
-        self.mult_order = params.order - 1 # size of the multiplicative group
+    def __init__(self, r: int, log: list[int], exp: list[int]):
+        self.r = r
+        self.order = 1 << r                # 2^r
+        self.mult_order = self.order - 1   # size of the multiplicative group
         self.log = log
         self.exp = exp
 
@@ -90,18 +67,18 @@ class FieldTables:
         return self.exp[(self.log[a] - self.log[b]) % self.mult_order]
 
 
-def build_tables(params: FieldParams) -> FieldTables:
-    """Build log/exp tables by repeated multiplication by ALPHA.
+def tables_for(r: int) -> FieldTables:
+    """Build log/exp tables for bit width r by repeated multiplication by ALPHA.
 
-    Rejects reduction polynomials for which ALPHA does not generate the
-    full multiplicative group: reducible polynomials and primitive-free
-    choices both surface here, because ALPHA's powers then fail to
-    visit all 2^r - 1 nonzero residues exactly once.
+    Checks the constant DEFAULT_POLY[r]: a polynomial for which ALPHA
+    does not generate the full multiplicative group (reducible, or not
+    primitive) surfaces here, because ALPHA's powers then fail to visit
+    all 2^r - 1 nonzero residues exactly once.
     """
-    r = params.r
-    order = params.order
-    poly = params.reduction_poly
-
+    if r not in DEFAULT_POLY:
+        raise ValueError(f"unsupported field width r={r}; supported: {sorted(DEFAULT_POLY)}")
+    poly = DEFAULT_POLY[r]
+    order = 1 << r
     log = [-1] * order
     exp = [0] * (order - 1)
     val = 1
@@ -118,13 +95,7 @@ def build_tables(params: FieldParams) -> FieldTables:
         # Can only happen for a reducible modulus where ALPHA is not a unit.
         raise ValueError(f"reduction polynomial {poly:#x} is reducible for r={r}")
     log[0] = 0  # convention: log of zero is stored as 0, and never consulted
-    return FieldTables(params, log, exp)
-
-
-def tables_for(r: int, reduction_poly: int | None = None) -> FieldTables:
-    """Build tables for bit width r with the default (or given) polynomial."""
-    poly = DEFAULT_POLY[r] if reduction_poly is None else reduction_poly
-    return build_tables(FieldParams(r=r, reduction_poly=poly))
+    return FieldTables(r, log, exp)
 
 
 def derived(build):

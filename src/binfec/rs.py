@@ -70,7 +70,7 @@ def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
         raise ValueError(f"received length {len(received)} != n={cp.n}")
     if pattern.n != cp.n:
         raise ValueError("erasure pattern built for a different code length")
-    if ft is not bt.ft and ft.params != bt.ft.params:
+    if ft is not bt.ft and ft.r != bt.ft.r:
         raise ValueError("field tables do not match basis tables")
     erased = pattern.erased
     a = column(bt, [0 if j in erased else s for j, s in enumerate(received)])

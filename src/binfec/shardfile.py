@@ -11,7 +11,7 @@ wide.  Header layout (all integers little-endian):
     6       1     log2(k)
     7       2     shard index
     9       8     original file length in bytes
-    17      4     reduction polynomial
+    17      4     reduction polynomial, always DEFAULT_POLY[r]
 
 Stripe s of a file covers its bytes [s*k*w, (s+1)*k*w) where w = r/8;
 symbol j of that stripe is bytes [j*w, (j+1)*w) of the slice.  Data
@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
+
+from .field import DEFAULT_POLY
 
 MAGIC = b"LCHS"
 VERSION = 1
@@ -55,7 +58,6 @@ class ShardHeader:
     log2_k: int
     shard_index: int
     original_length: int
-    reduction_poly: int
 
     @property
     def k(self) -> int:
@@ -75,19 +77,21 @@ class ShardHeader:
         return -(-self.original_length // stripe_bytes) if self.original_length else 0
 
     def with_index(self, index: int) -> "ShardHeader":
-        return ShardHeader(self.r, self.log2_k, index,
-                           self.original_length, self.reduction_poly)
+        return ShardHeader(self.r, self.log2_k, index, self.original_length)
+
+    @property
+    def encoding(self) -> tuple[int, int, int]:
+        """The fields that every shard of one encoding shares."""
+        return self.r, self.log2_k, self.original_length
 
     def same_file(self, other: "ShardHeader") -> bool:
         """True when two headers describe shards of the same encoding."""
-        return (self.r == other.r and self.log2_k == other.log2_k
-                and self.original_length == other.original_length
-                and self.reduction_poly == other.reduction_poly)
+        return self.encoding == other.encoding
 
     def pack(self) -> bytes:
         return _HEADER.pack(MAGIC, VERSION, self.r, self.log2_k,
                             self.shard_index, self.original_length,
-                            self.reduction_poly)
+                            DEFAULT_POLY[self.r])
 
     @classmethod
     def unpack(cls, raw: bytes) -> "ShardHeader":
@@ -98,13 +102,15 @@ class ShardHeader:
             raise ShardFormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise ShardFormatError(f"unsupported shard version {version}")
-        if r not in (8, 16):
+        if r not in DEFAULT_POLY:
             raise ShardFormatError(f"unsupported field width r={r}")
+        if poly != DEFAULT_POLY[r]:
+            raise ShardFormatError(f"reduction polynomial {poly:#x} is not {DEFAULT_POLY[r]:#x}")
         if log2_k >= r:
             raise ShardFormatError(f"log2_k={log2_k} out of range for r={r}")
         if index >= (1 << r):
             raise ShardFormatError(f"shard index {index} out of range")
-        return cls(r, log2_k, index, length, poly)
+        return cls(r, log2_k, index, length)
 
 
 # Output bytes interleaved per pass of stripes_to_bytes: the pass's
@@ -199,30 +205,34 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, memoryview], l
     """Read the k shard payloads a decode uses, checking every shard's header.
 
     Every file's header is read and its payload size taken from the file
-    system; a shard disagreeing with the consensus header (the first
-    parseable one) on a shared field, with the wrong payload size, or
-    repeating an index counts as missing.  Payloads are then read for
-    the k lowest-index usable shards only: every data shard when all
-    are present, else the data shards present and the lowest parity
-    shards.  Usable shards left unread are erasures to the decoder,
-    which stays within its n - k capacity.
+    system.  The consensus is the encoding (r, log2 k, original length)
+    that most readable headers carry; a tie goes to the first file in
+    path order.  A shard of another encoding, with the wrong payload
+    size, or repeating an index counts as missing.  Payloads are then
+    read for the k lowest-index usable shards only: every data shard
+    when all are present, else the data shards present and the lowest
+    parity shards.  Usable shards left unread are erasures to the
+    decoder, which stays within its n - k capacity.
 
     Returns the consensus header (shard_index zeroed), a map from shard
     index to its payload bytes (all usable shards when fewer than k),
     and human-readable notes about files that were skipped.
     """
-    consensus: ShardHeader | None = None
-    usable: dict[int, tuple[str, ShardHeader]] = {}
+    headers: list[tuple[str, ShardHeader, int]] = []
     skipped: list[str] = []
     for path in sorted(paths):
         try:
-            header, size = _read_header(path)
+            headers.append((path, *_read_header(path)))
         except (OSError, ShardFormatError) as exc:
             skipped.append(f"{path}: {exc}")
-            continue
-        if consensus is None:
-            consensus = header.with_index(0)
-        elif not header.same_file(consensus):
+    if not headers:
+        raise InsufficientShardsError("no readable shard files found")
+    # most_common keeps first-seen order among equal counts
+    r, log2_k, length = Counter(h.encoding for _, h, _ in headers).most_common(1)[0][0]
+    consensus = ShardHeader(r, log2_k, 0, length)
+    usable: dict[int, tuple[str, ShardHeader]] = {}
+    for path, header, size in headers:
+        if not header.same_file(consensus):
             skipped.append(f"{path}: header disagrees with other shards")
             continue
         expected = header.stripe_count * header.symbol_width
@@ -233,8 +243,6 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, memoryview], l
             skipped.append(f"{path}: duplicate shard index {header.shard_index}")
             continue
         usable[header.shard_index] = (path, header)
-    if consensus is None:
-        raise InsufficientShardsError("no readable shard files found")
     columns: dict[int, memoryview] = {}
     for index in sorted(usable):
         if len(columns) == consensus.k:

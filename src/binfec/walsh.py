@@ -32,26 +32,35 @@ def fwht(data: ResidueVec, modulus: int) -> ResidueVec:
     """In-place Walsh-Hadamard transform over Z_modulus.
 
     Length must be a power of two; each butterfly maps (a, b) to
-    (a + b, a - b) reduced into [0, modulus).
+    (a + b, a - b), and the result is reduced into [0, modulus).
+    Raises ValueError when length * modulus reaches 2^62, where the
+    unreduced int64 butterflies could overflow.
     """
     n = len(data)
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    data[:] = _fwht(np.array(data, dtype=np.int64), modulus).tolist()
+    if n * modulus >= 1 << 62:
+        raise ValueError(f"length {n} times modulus {modulus} overflows int64")
+    data[:] = _fwht(np.array(data, dtype=np.int64) % modulus, modulus).tolist()
     return data
 
 
 def _fwht(a: np.ndarray, modulus: int) -> np.ndarray:
-    """fwht() on an int64 array, in place: one reshape per level."""
+    """fwht() on an int64 array of residues, in place: one reshape per level.
+
+    The butterflies run unreduced and one remainder ends the transform:
+    entries stay below len(a) * modulus in magnitude, below 2^32 for
+    the field sizes here.
+    """
     half = 1
     while half < len(a):
         pairs = a.reshape(-1, 2, half)
         x, y = pairs[:, 0], pairs[:, 1]
         diff = x - y
         x += y
-        x %= modulus
-        np.remainder(diff, modulus, out=y)
+        y[...] = diff
         half <<= 1
+    a %= modulus
     return a
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from binfec.batch import BatchCodec, CodeParams, TooManyErasuresError
 from binfec.cli import _repair
-from binfec.field import DEFAULT_POLY
 from binfec.rs import ErasurePattern, decode, encode
 from binfec.shardfile import ShardHeader, bytes_to_stripes, stripes_to_bytes
 from binfec.transform import _CHUNK, OpCounter
@@ -186,8 +185,7 @@ def test_repair_r16_from_the_k_lowest_payloads(bt16):
     # returns them, no shard files involved
     data = random.Random(88).randbytes(1000)
     k = 16
-    header = ShardHeader(r=16, log2_k=4, shard_index=0, original_length=len(data),
-                         reduction_poly=DEFAULT_POLY[16])
+    header = ShardHeader(r=16, log2_k=4, shard_index=0, original_length=len(data))
     enc = BatchCodec(CodeParams(16, k), bt16).encode(bytes_to_stripes(data, k, 16))
     known = [j for j in range(1 << 16) if j not in {3, 10, 11, 12}][:k]
     columns = {j: memoryview(enc[j].astype("<u2").tobytes()) for j in known}

@@ -204,6 +204,23 @@ def test_mismatched_shard_treated_as_missing(tmp_path):
     assert out.read_bytes() == data
 
 
+def test_foreign_shard_sorting_first_is_outvoted(tmp_path, capsys):
+    data = random.Random(111).randbytes(3000)
+    (tmp_path / "mine").mkdir()
+    (tmp_path / "other").mkdir()
+    outdir = _encode(tmp_path / "mine", data, k=16)
+    other = _encode(tmp_path / "other", random.Random(112).randbytes(500), k=16)
+    foreign = outdir / "a-foreign.lchs"
+    foreign.write_bytes((other / shard_filename(5)).read_bytes())
+    os.remove(outdir / shard_filename(3))  # forces a repair
+    out = tmp_path / "out.bin"
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    err = capsys.readouterr().err
+    assert f"skipping {foreign}: header disagrees" in err
+    assert err.count("skipping") == 1
+
+
 def test_encode_rejects_bad_k(tmp_path, capsys):
     src = tmp_path / "input.bin"
     src.write_bytes(b"hello")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binfec.field import DEFAULT_POLY, FieldParams, build_tables, tables_for
+from binfec.field import DEFAULT_POLY, tables_for
 
 from oracles import clmul_inverse, clmul_order, clmul_reduce
 
@@ -78,18 +78,17 @@ def test_build_tables_exp_starts_at_alpha_powers(ft8):
     assert ft8.exp[1] == 2
 
 
-def test_build_rejects_non_primitive_poly():
+def test_build_rejects_non_primitive_poly(monkeypatch):
     # oracle: x has order 51 modulo 0x11B, far short of 255
     assert clmul_order(2, 0x11B, 8) == 51
+    monkeypatch.setitem(DEFAULT_POLY, 8, 0x11B)
     with pytest.raises(ValueError, match="not primitive"):
-        build_tables(FieldParams(r=8, reduction_poly=0x11B))
+        tables_for(8)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        FieldParams(r=12, reduction_poly=0x1053)
-    with pytest.raises(ValueError):
-        FieldParams(r=8, reduction_poly=0x3)  # wrong degree
+        tables_for(12)
 
 
 def test_field_axioms_random_triples(ft8):

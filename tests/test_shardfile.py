@@ -17,8 +17,7 @@ from binfec.shardfile import (
 
 
 def _header(**kw):
-    base = dict(r=8, log2_k=7, shard_index=0, original_length=1000,
-                reduction_poly=0x11D)
+    base = dict(r=8, log2_k=7, shard_index=0, original_length=1000)
     base.update(kw)
     return ShardHeader(**base)
 
@@ -114,6 +113,35 @@ def test_read_shards_skips_mismatched_headers(tmp_path):
     consensus, columns, skipped = read_shards(paths)
     assert 7 not in columns
     assert len(skipped) == 1 and "disagrees" in skipped[0]
+
+
+def test_header_with_another_polynomial_is_foreign(tmp_path):
+    # a field other than GF(2^8) mod 0x11D: same layout, bytes 17-20 differ
+    raw = _header(log2_k=2, original_length=12).pack()[:17] + (0x11B).to_bytes(4, "little")
+    with pytest.raises(ShardFormatError, match="0x11b"):
+        ShardHeader.unpack(raw)
+    paths = write_shards(str(tmp_path), _header(log2_k=2, original_length=12),
+                         np.zeros((256, 3), dtype=np.uint16))
+    with open(paths[1], "wb") as fh:
+        fh.write(raw + b"\0" * 3)
+    _, columns, skipped = read_shards(paths)
+    assert set(columns) == {0, 2, 3, 4}
+    assert len(skipped) == 1 and paths[1] in skipped[0] and "0x11b" in skipped[0]
+
+
+def test_read_shards_consensus_is_the_majority(tmp_path):
+    header = _header(log2_k=2, original_length=12)
+    paths = write_shards(str(tmp_path / "a"), header, np.zeros((256, 3), dtype=np.uint16))
+    # two foreign shards that sort first, outvoted by the 256 genuine ones
+    foreign = write_shards(str(tmp_path / "0"), _header(log2_k=3, original_length=40),
+                           np.zeros((256, 2), dtype=np.uint16))[:2]
+    consensus, columns, skipped = read_shards(foreign + paths)
+    assert consensus == header
+    assert set(columns) == set(range(4))
+    assert [note.split(":")[0] for note in skipped] == foreign
+    # a tie goes to the first file in path order
+    consensus, _, _ = read_shards(foreign + paths[:2])
+    assert consensus.same_file(_header(log2_k=3, original_length=40))
 
 
 def test_read_shards_skips_short_payloads(tmp_path):

@@ -30,6 +30,13 @@ def test_fwht_rejects_bad_length():
         fwht([1, 2, 3], 255)
 
 
+def test_fwht_reduces_its_input_and_refuses_int64_overflow():
+    assert fwht([7 + 255, 3 - 2 * 255], 255) == [10, 4]
+    assert fwht([0, 1], (1 << 61) - 1) == [1, (1 << 61) - 2]
+    with pytest.raises(ValueError, match="overflows"):
+        fwht([0, 1], 1 << 61)
+
+
 def test_single_erasure_locator(ft8):
     for e in (0, 1, 93, 255):
         loc = locator_values(ft8, {e})
