@@ -11,13 +11,17 @@ evaluates the remaining n - k points in k-point blocks with shifted
 forward transforms: O(n lg k) field operations, and the first k rows
 are the message verbatim.
 
-Decoding takes only the surviving rows, as a {position: row} map.  If
-every data position survives, its rows are the message.  Otherwise the
+Decoding takes only the surviving rows, as a {position: row} map, and
+uses the k lowest-index ones.  If every data position survives, its
+rows are the message.  Otherwise let h be the smallest power of two
+(at least k) whose prefix [0, h) holds those k survivors: [0, h) is a
+subspace, and the code restricted to it is an (h, k) Reed-Solomon code
+in the same basis, with every other position of [0, h) erased.  The
 survivors, each scaled by the erasure locator, are evaluations of the
-product F * locator, which is zero at every erased point.  One n-point
-inverse transform, a formal derivative, and one n-point forward
-transform later, each lost data value falls out as
-F'hat(j) / locator'(j): O(n lg n) total.
+product F * locator, which is zero at every erased point.  One h-point
+inverse transform, the formal derivative's first k coefficients, and
+one k-point forward transform later, each lost data value falls out as
+F'hat(j) / locator'(j): O(h lg h) total, n lg n at most.
 
 Every step is a row kernel of binfec.transform or binfec.derivative.
 This is the only copy of the pipeline: binfec.rs.encode and decode are
@@ -89,7 +93,7 @@ class BatchCodec:
         inverse_rows(self.bt, a, shift, ops)
 
     def _derivative(self, a: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
-        return derivative_rows(self.bt, a, ops)
+        return derivative_rows(self.bt, a, ops, self.cp.k)
 
     def _symbols(self, a: np.ndarray) -> np.ndarray:
         # a as (rows x stripes) in the codec's dtype.  A wider dtype can
@@ -126,13 +130,17 @@ class BatchCodec:
                ops: OpCounter | None = None) -> np.ndarray:
         """Recover the (k x stripes) messages from their surviving rows.
 
-        survivors maps codeword positions in [0, n) to rows of equal
+        survivors maps codeword positions in [0, n) to 1-D rows of equal
         length: row j holds position j of every stripe.  Any k or more
-        survivors decode.  When every data position survives, its rows
-        are returned with no field arithmetic and ops is left as it is;
-        otherwise ops, if given, also counts the locator scaling (one
-        multiplication per survivor) and the final division (one per
-        lost data row), per stripe.
+        survivors decode, and every row is checked, but only the k
+        lowest-index ones are used.  When every data position survives,
+        its rows are returned with no field arithmetic and ops is left
+        as it is.  Otherwise the repair runs an h-point inverse
+        transform, h the smallest power of two (at least k) above the
+        highest survivor used, and a k-point forward transform; ops, if
+        given, also counts the locator scaling (one multiplication per
+        survivor used) and the final division (one per lost data row),
+        per stripe.
         """
         n, k = self.cp.n, self.cp.k
         if not all(0 <= j < n for j in survivors):
@@ -140,28 +148,39 @@ class BatchCodec:
         if len(survivors) < k:
             raise TooManyErasuresError(
                 f"{n - len(survivors)} erasures exceed repair capacity {n - k}")
-        lost = [j for j in range(k) if j not in survivors]
-        known = sorted(survivors) if lost else range(k)
-        # np.stack checks that every row has the same shape
-        rows = self._symbols(np.stack([survivors[j] for j in known]))
-        if not lost:
+        positions = sorted(survivors)
+        rows = [survivors[j] for j in positions]
+        shapes = {row.shape for row in rows}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"survivor rows must be 1-D of one length, got {shapes}")
+        (width,) = shapes.pop()
+        rows = self._symbols(np.concatenate(rows).reshape(len(rows), width))[:k]
+        last = int(positions[k - 1])
+        if last == k - 1:  # every data row survives
             return rows
 
-        known = np.array(known)
-        erased = np.ones(n, dtype=bool)
+        # [0, h) holds the k survivors used; the code restricted to that
+        # subspace is an (h, k) code in the same basis.
+        h = max(k, 1 << last.bit_length())
+        known = np.array(positions[:k])
+        erased = np.ones(h, dtype=bool)
         erased[known] = False
-        loc = locator_values(self.ft, np.flatnonzero(erased))
+        loc = locator_values(self.ft, np.flatnonzero(erased), h)
         # Erased points are the locator's roots, so their rows stay zero.
-        phi = np.zeros((n, rows.shape[1]), dtype=self.dtype)
+        phi = np.zeros((h, width), dtype=self.dtype)
         phi[known] = mul_rows(self.ft, rows, loc[known])
         self._inverse_inplace(phi, 0, ops)
+        # X_i for i >= k vanishes on [0, k): only the derivative's first
+        # k coefficients reach the lost data points.
         dcoeffs = self._derivative(phi, ops)
+        del phi
         self._forward_inplace(dcoeffs, 0, ops)
 
+        lost = np.flatnonzero(erased[:k])
         kept = k - len(lost)  # known[:kept] are the surviving data rows
-        out = np.empty((k, rows.shape[1]), dtype=self.dtype)
+        out = np.empty((k, width), dtype=self.dtype)
         out[known[:kept]] = rows[:kept]
         out[lost] = mul_rows(self.ft, dcoeffs[lost], inverse_table(self.ft)[loc[lost]])
         if ops is not None:
-            ops.muls += (len(known) + len(lost)) * rows.shape[1]
+            ops.muls += (k + len(lost)) * width
         return out

@@ -15,7 +15,8 @@ finishes each output, for at most 2h multiplications total.  It is the
 one-column view of derivative_rows(), which differentiates every
 column of an (h x stripes) array at once with the same row kernel the
 transform uses, so like the transform it takes a power-of-two length
-up to the tables' capacity.  Both methods produce identical output.
+up to the tables' capacity, and can stop at the first k outputs,
+which is all a decode reads.  Both methods produce identical output.
 
 Coefficients at or beyond the vector length are treated as zero, which
 is the only sound reading for a polynomial of degree below h.
@@ -56,25 +57,43 @@ def derivative_fast(bt: BasisTables, coeffs: CoeffVec,
 
 
 def derivative_rows(bt: BasisTables, a: np.ndarray,
-                    ops: OpCounter | None = None) -> np.ndarray:
-    """derivative_fast() of every column of an (h x stripes) array.
+                    ops: OpCounter | None = None, k: int | None = None) -> np.ndarray:
+    """First k outputs of derivative_fast() on every column of (h x stripes) a.
 
-    Level l adds scaled coefficient j + 2^l into output j (bit l of j
-    clear), one XOR of reshaped halves.  Counted per column as the
-    direct sum: (h/2) lg h - (h - 1) additions (the first term into
-    each output is no addition), h + (nonzero outputs) multiplications.
-    a is left as it is, in any memory layout; the result is a new array.
+    k is a power of two up to h (the default).  Level l adds scaled
+    coefficient j + 2^l into output j (bit l of j clear).  For the
+    levels below lg k that is one XOR of reshaped halves within
+    [0, k); at each level l from lg k up, every output j < k takes
+    scaled coefficient j + 2^l, one XOR of rows [2^l, 2^l + k).  So
+    only the rows [0, k) and [2^l, 2^l + k) for lg k <= l < lg h are
+    scaled.  Counted per column as the direct sum, with
+    T = (k/2) lg k + k (lg h - lg k) terms:
+
+        additions        T - k at k < h (every output has a term),
+                         (h/2) lg h - (h - 1) at k = h (all but the last)
+        multiplications  k (1 + lg h - lg k) + (nonzero outputs)
+
+    a is left as it is, in any memory layout; the result is a new
+    (k x stripes) array.
     """
     h = a.shape[0]
+    k = h if k is None else k
+    if not 1 <= k <= h or k & (k - 1):
+        raise ValueError(f"k must be a power of two up to {h}, got {k}")
     arrays = basis_arrays(bt)
-    scaled = mul_rows(bt.ft, a, arrays.b_prod[:h])
+    stripes = a.size // h
+    scaled = mul_rows(bt.ft, a[:k], arrays.b_prod[:k])
     acc = np.zeros_like(scaled)
-    for l in range(h.bit_length() - 1):
-        shape = (h >> (l + 1), 2, a.size // (h >> l))
+    for l in range(k.bit_length() - 1):
+        shape = (k >> (l + 1), 2, stripes << l)
         acc.reshape(shape)[:, 0] ^= scaled.reshape(shape)[:, 1]
-    del scaled  # one array fewer alive during the final mul_rows
+    del scaled  # one array fewer alive during the mul_rows below
+    higher = range(k.bit_length() - 1, h.bit_length() - 1)
+    for l in higher:
+        rows = slice(1 << l, (1 << l) + k)
+        acc ^= mul_rows(bt.ft, a[rows], arrays.b_prod[rows])
     if ops is not None:
-        stripes = a.size // h
-        ops.adds += (h // 2 * (h.bit_length() - 1) - (h - 1)) * stripes
-        ops.muls += h * stripes + int(np.count_nonzero(acc))
-    return mul_rows(bt.ft, acc, arrays.b_prod_inv[:h])
+        terms = k // 2 * (k.bit_length() - 1) + k * len(higher)
+        ops.adds += (terms - k + (k == h)) * stripes
+        ops.muls += k * (1 + len(higher)) * stripes + int(np.count_nonzero(acc))
+    return mul_rows(bt.ft, acc, arrays.b_prod_inv[:k])

@@ -14,8 +14,9 @@ order with the reformulated pair (v = u' + v', u = u' + f*v).
 forward_rows() and inverse_rows() are the one implementation: they
 transform every column of an (h x stripes) array at once, each level
 one reshape into (blocks, 2, half * stripes) whose block halves are
-whole rows sharing one factor.  The block whose point is zero needs no
-special case: its factor is W_i(0) = 0.  The array must be C-contiguous,
+whole rows sharing one factor.  At shift 0, block 0's factor is
+W_i(0) = 0 at every level, so that block's multiply is skipped and only
+its v += u runs.  The array must be C-contiguous,
 so that each reshape is a view of it.  forward() and inverse() are
 their one-column view, list in and list out.
 
@@ -31,8 +32,9 @@ over, so no modular reduction is needed; zero operands are masked
 explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
-additions and multiplications per level, where the block whose point
-is zero costs only its v half's additions.  For h-point transforms:
+additions and multiplications the kernels execute, level by level, so
+a skipped block 0 costs only its v half's additions.  For h-point
+transforms:
 
     shift outside the point set:  h lg h adds, (h/2) lg h muls
     shift zero:                   h lg h - h + 1 adds, (h/2) lg h - h + 1 muls
@@ -194,7 +196,11 @@ def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
            ops: OpCounter | None):
-    """Level i's u and v block halves (views of a) and factors."""
+    """Level i's u and v block halves (views of a), factors, and z.
+
+    z is 1 when block 0's factor is zero, as it is at shift 0, and the
+    kernels skip that block's multiply; else 0.
+    """
     if not a.flags.c_contiguous:
         # reshape would copy, and the level would be lost in the copy
         raise ValueError("row kernels transform C-contiguous arrays in place")
@@ -204,21 +210,21 @@ def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
     factors = basis_arrays(bt).w_hat[i][:blocks]
     if shift:
         factors = factors ^ bt.eval_w_hat(i, shift)
+    z = int(factors[0] == 0)
     if ops is not None:
-        half = 1 << i
-        zero = half if shift < h and not shift & ((half << 1) - 1) else 0
+        zero = z << i  # rows in the skipped u half
         stripes = a.size // h
         ops.adds += (h - zero) * stripes
         ops.muls += (h // 2 - zero) * stripes
-    return pairs[:, 0], pairs[:, 1], factors
+    return pairs[:, 0], pairs[:, 1], factors, z
 
 
 def forward_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
                  ops: OpCounter | None = None) -> None:
     """forward() on every column of an (h x stripes) array, in place."""
     for i in reversed(range(a.shape[0].bit_length() - 1)):
-        u, v, factors = _level(bt, a, i, shift, ops)
-        u ^= mul_rows(bt.ft, v, factors)
+        u, v, factors, z = _level(bt, a, i, shift, ops)
+        u[z:] ^= mul_rows(bt.ft, v[z:], factors[z:])
         v ^= u
 
 
@@ -226,9 +232,9 @@ def inverse_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
                  ops: OpCounter | None = None) -> None:
     """inverse() on every column of an (h x stripes) array, in place."""
     for i in range(a.shape[0].bit_length() - 1):
-        u, v, factors = _level(bt, a, i, shift, ops)
+        u, v, factors, z = _level(bt, a, i, shift, ops)
         v ^= u
-        u ^= mul_rows(bt.ft, v, factors)
+        u[z:] ^= mul_rows(bt.ft, v[z:], factors[z:])
 
 
 def degree(coeffs: CoeffVec) -> int | None:

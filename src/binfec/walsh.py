@@ -6,13 +6,17 @@ value of its formal derivative at every erased point, share one
 formula in the log domain: a convolution of the erasure indicator with
 the discrete-log table, indexed by XOR.  The Walsh-Hadamard transform
 diagonalizes XOR-convolution, so both sets of values come out of two
-length-2^r transforms over the integers mod 2^r - 1 plus pointwise
-work, as one array indexed by position.  Because 2^r is congruent to 1
-modulo 2^r - 1, the transform is its own inverse and no normalization
-step exists.
+length-h transforms over the integers mod 2^r - 1 plus pointwise work,
+as one array indexed by position, when every erasure lies in the
+subspace [0, h).  Because 2^r is congruent to 1 modulo 2^r - 1, the
+length-2^r transform is its own inverse and needs no normalization
+step; a shorter one is scaled by 2^(r - lg h), its inverse length.
+(F. Didier, "Efficient erasure decoding of Reed-Solomon codes",
+arXiv:0901.1886.)
 
-The log table's transform and the exp table as an array depend only on
-the field, so they are computed once per FieldTables and cached.
+The full-length log table's transform and the exp table as an array
+depend only on the field, so they are computed once per FieldTables
+and cached.
 """
 
 from __future__ import annotations
@@ -80,32 +84,41 @@ def _exp_table(ft: FieldTables) -> np.ndarray:
     return a
 
 
-def locator_values(ft: FieldTables, erasures: Iterable[int]) -> np.ndarray:
-    """Locator values for an erasure set, all positions at once.
+def locator_values(ft: FieldTables, erasures: Iterable[int],
+                   h: int | None = None) -> np.ndarray:
+    """Locator values for an erasure set, all positions of [0, h) at once.
 
-    Entry j of the returned length-2^r symbol array is the locator's
-    value at j for every surviving position j, and its formal
+    h is a power of two up to 2^r (the default), and the erasures lie
+    in [0, h).  Entry j of the returned length-h symbol array is the
+    locator's value at j for every surviving position j, and its formal
     derivative at j for every erased position j; all are nonzero.
 
     Never forms the locator polynomial itself: works entirely in the
     log domain, where products over erased elements become sums.  The
     erased positions contribute log(0) = 0 to their own entry, which is
-    exactly what turns that entry into the derivative value.
+    exactly what turns that entry into the derivative value.  [0, h) is
+    closed under XOR, so the convolution runs at length h over log[:h];
+    two length-h transforms multiply it by h, and 2^(r - lg h) undoes
+    that, since h * 2^(r - lg h) = 2^r is 1 modulo 2^r - 1.
     """
+    n = ft.order
+    h = n if h is None else h
+    if not 1 <= h <= n or h & (h - 1):
+        raise ValueError(f"h must be a power of two up to {n}, got {h}")
     positions = np.asarray(erasures if isinstance(erasures, np.ndarray)
                            else list(erasures))
     if not positions.size:
         raise ValueError("erasure set must not be empty")
-    n = ft.order
-    outside = positions[(positions < 0) | (positions >= n)]
+    outside = positions[(positions < 0) | (positions >= h)]
     if outside.size:
-        raise ValueError(f"erasure position {outside[0]} outside field of size {n}")
-    indicator = np.bincount(positions.astype(np.intp), minlength=n)
+        raise ValueError(f"erasure position {outside[0]} outside [0, {h})")
+    indicator = np.bincount(positions.astype(np.intp), minlength=h)
     if indicator.max() > 1:
         raise ValueError("duplicate erasure positions")
-    if positions.size > n - 1:
+    if positions.size > h - 1:
         raise ValueError("erasure set must leave at least one survivor")
 
     m = ft.mult_order
-    mixed = _fwht(indicator, m) * _fwht_of_log(ft) % m
-    return _exp_table(ft)[_fwht(mixed, m)]
+    log = _fwht_of_log(ft) if h == n else _fwht(np.array(ft.log[:h], dtype=np.int64), m)
+    mixed = _fwht(indicator, m) * log % m
+    return _exp_table(ft)[_fwht(mixed, m) * (n // h) % m]

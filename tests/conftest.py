@@ -22,3 +22,19 @@ def ft16():
 @pytest.fixture(scope="session")
 def bt16(ft16):
     return build_basis_tables(ft16, 1 << 16)
+
+
+@pytest.fixture
+def mul_rows_work(monkeypatch):
+    """patch(module) counts module.mul_rows calls: a list of rows x width."""
+    def patch(module):
+        work = []
+        original = module.mul_rows
+
+        def counting(ft, v, factors):
+            work.append(v.size)
+            return original(ft, v, factors)
+
+        monkeypatch.setattr(module, "mul_rows", counting)
+        return work
+    return patch

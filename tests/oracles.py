@@ -81,11 +81,14 @@ class LocatorOracle:
         self._exp = np.asarray(ft.exp, dtype=np.int64)
         self._m = ft.mult_order
 
-    def values(self, erased: set[int]) -> list[int]:
-        """values[j] = prod over erased y != j of (j ^ y), every j."""
+    def values(self, erased: set[int], points=None) -> list[int]:
+        """values[i] = prod over erased y != j of (j ^ y), j = points[i].
+
+        points defaults to every field element.
+        """
         es = np.fromiter(erased, dtype=np.int64)
         out = []
-        for j in range(self.ft.order):
+        for j in range(self.ft.order) if points is None else points:
             pts = (j ^ es)
             pts = pts[pts != 0]  # y == j contributes nothing
             out.append(int(self._exp[int(self._log[pts].sum() % self._m)]))

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from binfec import batch
 from binfec.batch import BatchCodec, CodeParams, TooManyErasuresError
 from binfec.cli import _repair
 from binfec.rs import ErasurePattern, decode, encode
@@ -191,3 +192,77 @@ def test_repair_r16_from_the_k_lowest_payloads(bt16):
     columns = {j: memoryview(enc[j].astype("<u2").tobytes()) for j in known}
     rows = _repair(header, columns)
     assert bytes(stripes_to_bytes(rows, 16, len(data))) == data
+
+
+def _lg(x):
+    return x.bit_length() - 1
+
+
+def _decode_counts(h, k, lost, nonzero, stripes=1):
+    """(adds, muls) of a repair at h points: per stripe the h-point
+    inverse, the derivative's first k outputs, the k-point forward,
+    the scaling of k survivors and the lost divisions, plus one
+    multiplication per nonzero derivative output."""
+    higher = _lg(h) - _lg(k)
+    adds = (h * _lg(h) - h + 1) + (k // 2 * _lg(k) + k * higher - k + (k == h)) \
+        + (k * _lg(k) - k + 1)
+    muls = (h // 2 * _lg(h) - h + 1) + k * (1 + higher) + (k // 2 * _lg(k) - k + 1) \
+        + k + lost
+    return adds * stripes, muls * stripes + nonzero
+
+
+def _counted_decode(monkeypatch, codec, survivors):
+    """codec.decode(survivors) with its OpCounter and the number of
+    nonzero derivative outputs it divided."""
+    nonzero = []
+    original = batch.derivative_rows
+
+    def counting(*args, **kwargs):
+        out = original(*args, **kwargs)
+        nonzero.append(int(np.count_nonzero(out)))
+        return out
+
+    monkeypatch.setattr(batch, "derivative_rows", counting)
+    ops = OpCounter()
+    out = codec.decode(survivors, ops)
+    return out, ops, nonzero[0] if nonzero else 0
+
+
+@pytest.mark.parametrize("r, ks", ((8, (1, 16, 64)), (16, (1, 16))))
+def test_repair_runs_at_the_subspace_its_survivors_span(monkeypatch, bt8, bt16, r, ks):
+    # k survivors confined to [0, h), one of them in [h/2, h), plus a few
+    # above h that are checked but not used: the decode runs at h points
+    # and its counts are the closed forms at h, for every h from k to n
+    bt = bt8 if r == 8 else bt16
+    n = 1 << r
+    rng = np.random.default_rng(89)
+    pyrng = random.Random(89)
+    for k in ks:
+        codec = BatchCodec(CodeParams(r, k), bt)
+        msgs = rng.integers(0, n, (k, 3)).astype(codec.dtype)
+        enc = codec.encode(msgs)
+        for lg in range(_lg(k), r + 1):
+            h = 1 << lg
+            known = {h - 1 - pyrng.randrange(h // 2)} if h > k else set()
+            known |= set(pyrng.sample(range(h // 2 if h > k else h), k - len(known)))
+            extra = set(pyrng.sample(range(h, n), min(3, n - h)))
+            survivors = {j: enc[j] for j in known | extra}
+            out, ops, nonzero = _counted_decode(monkeypatch, codec, survivors)
+            assert (out == msgs).all(), (k, h)
+            lost = k - len(known & set(range(k)))
+            if not lost:
+                assert (ops.adds, ops.muls) == (0, 0)
+                continue
+            assert (ops.adds, ops.muls) == _decode_counts(h, k, lost, nonzero, 3), (k, h)
+
+
+@pytest.mark.parametrize("r, k, h", ((8, 16, 32), (16, 256, 512)))
+def test_one_lost_data_shard_is_repaired_at_twice_k(monkeypatch, bt8, bt16, r, k, h):
+    # every shard but data shard 3 survives: the k lowest survivors end
+    # at position k, so [0, 2k) holds them, far below n
+    codec = BatchCodec(CodeParams(r, k), bt8 if r == 8 else bt16)
+    msgs = np.random.default_rng(90).integers(0, 1 << r, (k, 1)).astype(codec.dtype)
+    enc = codec.encode(msgs)
+    out, ops, nonzero = _counted_decode(monkeypatch, codec, _survivors(enc, {3}))
+    assert (out == msgs).all()
+    assert (ops.adds, ops.muls) == _decode_counts(h, k, 1, nonzero)

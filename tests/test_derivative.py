@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binfec import derivative
 from binfec.basis import build_basis_tables
 from binfec.derivative import derivative_direct, derivative_fast, derivative_rows
 from binfec.field import tables_for
@@ -126,6 +127,49 @@ def test_rows_match_columns_in_any_layout(bt8):
     assert (a == before).all()
     for s in range(5):
         assert got[:, s].tolist() == derivative_direct(bt8, CoeffVec(a[:, s].tolist())).data
+
+
+@pytest.mark.parametrize("r, sizes", ((8, range(9)), (16, (3, 10, 16))))
+def test_first_k_outputs_match_the_direct_formula(bt8, bt16, r, sizes):
+    # every k <= h, at h = 2^r too: the first k outputs read rows
+    # [0, k) and [2^l, 2^l + k) for lg k <= l < lg h
+    bt = bt8 if r == 8 else bt16
+    rng = random.Random(48)
+    for lg in sizes:
+        h = 1 << lg
+        d = [rng.randrange(bt.ft.order) for _ in range(h)]
+        want = derivative_direct(bt, CoeffVec(d)).data
+        a = np.array(d, dtype=np.uint16).reshape(h, 1)
+        for lg_k in range(lg + 1):
+            k = 1 << lg_k
+            assert derivative_rows(bt, a, k=k)[:, 0].tolist() == want[:k], (h, k)
+
+
+def test_truncated_counts_are_exact_and_are_the_work(mul_rows_work, bt8):
+    # T = (k/2) lg k + k (lg h - lg k) terms, each output's first free;
+    # k (1 + lg h - lg k) rows scaled; one division per nonzero output
+    work = mul_rows_work(derivative)
+    rng = np.random.default_rng(49)
+    for lg in range(1, 9):
+        h = 1 << lg
+        a = rng.integers(0, 256, (h, 4), dtype=np.uint8)
+        a[:, 3] = 0  # a zero column: its outputs cost no division
+        for lg_k in range(lg):
+            k = 1 << lg_k
+            work.clear()
+            ops = OpCounter()
+            out = derivative_rows(bt8, a, ops, k)
+            terms = k // 2 * lg_k + k * (lg - lg_k)
+            assert ops.adds == (terms - k) * 4
+            assert ops.muls == k * (1 + lg - lg_k) * 4 + np.count_nonzero(out)
+            assert sum(work) == ops.muls + out.size - np.count_nonzero(out)
+
+
+def test_truncation_takes_power_of_two_lengths_up_to_h(bt8):
+    a = np.zeros((8, 2), dtype=np.uint8)
+    for bad in (0, 3, 16):
+        with pytest.raises(ValueError):
+            derivative_rows(bt8, a, k=bad)
 
 
 def test_w_prime_constants(bt8, ft8):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binfec import transform
 from binfec.basis import build_basis_tables
 from binfec.field import tables_for
 from binfec.transform import (
     CoeffVec,
     EvalVec,
+    OpCounter,
     degree,
     forward,
     forward_counted,
@@ -129,6 +131,28 @@ def test_inverse_counts_match_forward(bt8):
         ev, fops = forward_counted(bt8, d, h)
         _, iops = inverse_counted(bt8, ev)
         assert (iops.adds, iops.muls) == (fops.adds, fops.muls)
+
+
+@pytest.mark.parametrize("r", (8, 16))
+def test_counted_multiplications_are_the_kernels_work(mul_rows_work, bt8, bt16, r):
+    # the kernels skip block 0's multiply at shift 0 instead of
+    # multiplying it by W_i(0) = 0, so the closed forms are the work
+    bt = bt8 if r == 8 else bt16
+    work = mul_rows_work(transform)
+    rng = np.random.default_rng(38)
+    sizes = range(1, 9) if r == 8 else (1, 5, 9, 12)
+    for lg in sizes:
+        h = 1 << lg
+        # shift h lies outside the point set [0, h); at h = 2^r none does
+        drops = {0: h - 1} | ({h: 0} if h < bt.ft.order else {})
+        for shift, drop in drops.items():
+            for kernel in (forward_rows, inverse_rows):
+                a = rng.integers(0, bt.ft.order, (h, 3)).astype(transform.symbol_dtype(bt.ft))
+                work.clear()
+                ops = OpCounter()
+                kernel(bt, a, shift, ops)
+                assert ops.muls == sum(work) == (h // 2 * lg - drop) * 3, (h, shift)
+                assert ops.adds == (h * lg - drop) * 3
 
 
 def test_degree(bt8):

@@ -5,7 +5,7 @@ import pytest
 
 from binfec.walsh import fwht, locator_values
 
-from oracles import locator_direct
+from oracles import LocatorOracle, locator_direct
 
 
 def test_fwht_zero_vector():
@@ -87,6 +87,32 @@ def test_input_validation(ft8):
         locator_values(ft8, np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
         locator_values(ft8, range(256))  # no survivor left
+
+
+def test_subspace_locator_matches_direct_products(ft8, ft16):
+    # erasures inside [0, h): the length-h transforms, scaled by 1/h
+    # modulo 2^r - 1, equal the products over [0, h) alone
+    rng = random.Random(55)
+    for ft, sizes in ((ft8, (2, 4, 32, 128, 256)), (ft16, (2, 16, 512, 1 << 16))):
+        oracle = LocatorOracle(ft)
+        for h in sizes:
+            for size in {1, h // 2, h - 1}:
+                erased = set(rng.sample(range(h), size))
+                loc = locator_values(ft, erased, h)
+                assert loc.shape == (h,)
+                points = range(h) if h <= 512 else rng.sample(range(h), 64)
+                assert loc[points].tolist() == oracle.values(erased, points), (ft.r, h)
+
+
+def test_subspace_locator_validation(ft8):
+    with pytest.raises(ValueError):
+        locator_values(ft8, {1}, 3)
+    with pytest.raises(ValueError):
+        locator_values(ft8, {1}, 512)
+    with pytest.raises(ValueError):
+        locator_values(ft8, {16}, 16)  # outside [0, h)
+    with pytest.raises(ValueError):
+        locator_values(ft8, range(16), 16)  # no survivor left
 
 
 def test_log_transform_is_cached_per_field(ft8):
