@@ -17,10 +17,10 @@ _EXPORTS = {
     "basis": ["BasisTables", "build_basis_tables"],
     "batch": ["CodeParams", "TooManyErasuresError"],
     "derivative": ["derivative_direct", "derivative_fast"],
-    "field": ["DEFAULT_POLY", "FieldTables", "tables_for"],
+    "field": ["DEFAULT_POLY", "FieldTables", "SYMBOL_DTYPE", "tables_for"],
     "rs": ["Codeword", "ErasurePattern", "decode", "encode", "shorten"],
-    "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward",
-                  "forward_counted", "inverse", "inverse_counted", "poly_mul"],
+    "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward", "inverse",
+                  "poly_mul"],
     "walsh": ["fwht", "locator_values"],
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}

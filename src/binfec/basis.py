@@ -17,7 +17,10 @@ derivative need:
   * the derivative constants W'_l and their subset products B_i with
     inverses.
 
-Tables are immutable after build and safe to share.  The eval_*_naive
+The butterfly factors and the subset products are built once, as the
+read-only symbol arrays the row kernels read; the r-entry tables are
+lists.  Tables are immutable after build and safe to share.  numpy is
+imported when tables are built, not with this module.  The eval_*_naive
 functions are deliberately simple reference paths used as test oracles.
 """
 
@@ -25,13 +28,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .field import FieldTables
+from .field import SYMBOL_DTYPE, FieldTables
 
 
 class BasisTables:
     """Precomputed factors for transforms up to max_h points."""
 
     def __init__(self, ft: FieldTables, max_h: int):
+        import numpy as np
+
         if max_h < 1 or max_h & (max_h - 1):
             raise ValueError(f"max_h must be a power of two, got {max_h}")
         if max_h > ft.order:
@@ -65,12 +70,12 @@ class BasisTables:
         # to max_h/2 + max_h/4 + ... + 1 = max_h - 1 entries.  W_i is
         # linear, so each row doubles by XOR with its next power-of-two
         # entry.
-        self.w_hat: list[list[int]] = []
+        self.w_hat: list[np.ndarray] = []
         for i in range(self.levels):
-            row = [0]
+            row = np.zeros(1, dtype=SYMBOL_DTYPE[r])
             for t in range(i + 1, self.levels):
-                top = self.eval_w_hat(i, 1 << t)
-                row += [x ^ top for x in row]
+                row = np.concatenate((row, row ^ self.eval_w_hat(i, 1 << t)))
+            row.flags.writeable = False
             self.w_hat.append(row)
 
         # Formal-derivative constants: W'_l is the (constant) formal
@@ -90,12 +95,13 @@ class BasisTables:
         # inverses, for every coefficient index a size-max_h vector has.
         # Built as logs: B_i for i in [2^j, 2^(j+1)) is B_(i - 2^j) W'_j.
         # Every W'_j is nonzero, so every B_i is too.
-        b_log = [0] * max_h
+        b_log = np.zeros(max_h, dtype=np.int64)
         for j in range(self.levels):
-            step = log[w_prime[j]]
-            b_log[1 << j:2 << j] = [(v + step) % m for v in b_log[:1 << j]]
-        self.b_prod: list[int] = [exp[v] for v in b_log]
-        self.b_prod_inv: list[int] = [exp[(m - v) % m] for v in b_log]
+            b_log[1 << j:2 << j] = (b_log[:1 << j] + log[w_prime[j]]) % m
+        self.b_prod: np.ndarray = ft.arrays.exp[b_log]
+        self.b_prod_inv: np.ndarray = ft.arrays.exp[(m - b_log) % m]
+        self.b_prod.flags.writeable = False
+        self.b_prod_inv.flags.writeable = False
 
     # -- evaluation ----------------------------------------------------
 

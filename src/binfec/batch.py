@@ -37,8 +37,8 @@ import numpy as np
 
 from .basis import BasisTables
 from .derivative import derivative_rows
-from .transform import (OpCounter, forward_rows, inverse_rows, inverse_table, mul_rows,
-                        symbol_dtype)
+from .field import SYMBOL_DTYPE
+from .transform import OpCounter, forward_rows, inverse_rows, mul_rows, symbols
 from .walsh import locator_values
 
 
@@ -79,7 +79,7 @@ class BatchCodec:
         self.cp = cp
         self.bt = bt
         self.ft = bt.ft
-        self.dtype = symbol_dtype(bt.ft)
+        self.dtype = np.dtype(SYMBOL_DTYPE[cp.r])
 
     # -- phases over rows (row j = codeword position j), one method each
     # so that perfbench/trace.py can time them by name ------------------
@@ -96,16 +96,10 @@ class BatchCodec:
         return derivative_rows(self.bt, a, ops, self.cp.k)
 
     def _symbols(self, a: np.ndarray) -> np.ndarray:
-        # a as (rows x stripes) in the codec's dtype.  A wider dtype can
-        # hold values outside the field, which the table gathers would
-        # read as other entries: those are rejected.
+        # a as (rows x stripes) in the codec's dtype
         if a.ndim != 2:
             raise ValueError(f"expected a (rows x stripes) array, got shape {a.shape}")
-        if a.dtype == self.dtype:
-            return a
-        if ((a < 0) | (a >= self.ft.order)).any():
-            raise ValueError(f"symbols must lie in [0, {self.ft.order})")
-        return a.astype(self.dtype)
+        return symbols(self.ft, a)
 
     # -- public API ------------------------------------------------------
 
@@ -180,7 +174,7 @@ class BatchCodec:
         kept = k - len(lost)  # known[:kept] are the surviving data rows
         out = np.empty((k, width), dtype=self.dtype)
         out[known[:kept]] = rows[:kept]
-        out[lost] = mul_rows(self.ft, dcoeffs[lost], inverse_table(self.ft)[loc[lost]])
+        out[lost] = mul_rows(self.ft, dcoeffs[lost], self.ft.arrays.inv[loc[lost]])
         if ops is not None:
             ops.muls += (k + len(lost)) * width
         return out

@@ -18,14 +18,13 @@ import os
 import sys
 
 from .basis import build_basis_tables
-from .field import tables_for
+from .field import SYMBOL_DTYPE, tables_for
 from .shardfile import (
     InsufficientShardsError,
     SHARD_SUFFIX,
     ShardFormatError,
     ShardHeader,
     bytes_to_stripes,
-    payload_dtype,
     read_shards,
     stripes_to_bytes,
     write_shards,
@@ -67,9 +66,8 @@ def _repair(header: ShardHeader, columns: dict[int, memoryview]):
 
     ft = tables_for(header.r)
     codec = BatchCodec(CodeParams(header.r, header.k), build_basis_tables(ft, header.n))
-    dtype = payload_dtype(header.r)
-    messages = codec.decode({j: np.frombuffer(p, dtype) for j, p in columns.items()})
-    return messages.astype(dtype, copy=False)
+    dtype = SYMBOL_DTYPE[header.r]
+    return codec.decode({j: np.frombuffer(p, dtype) for j, p in columns.items()})
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import BasisTables
-from .transform import CoeffVec, OpCounter, basis_arrays, column, mul_rows
+from .transform import CoeffVec, OpCounter, column, mul_rows
 
 
 def derivative_direct(bt: BasisTables, coeffs: CoeffVec) -> CoeffVec:
@@ -80,9 +80,8 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
     k = h if k is None else k
     if not 1 <= k <= h or k & (k - 1):
         raise ValueError(f"k must be a power of two up to {h}, got {k}")
-    arrays = basis_arrays(bt)
     stripes = a.size // h
-    scaled = mul_rows(bt.ft, a[:k], arrays.b_prod[:k])
+    scaled = mul_rows(bt.ft, a[:k], bt.b_prod[:k])
     acc = np.zeros_like(scaled)
     for l in range(k.bit_length() - 1):
         shape = (k >> (l + 1), 2, stripes << l)
@@ -91,9 +90,9 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
     higher = range(k.bit_length() - 1, h.bit_length() - 1)
     for l in higher:
         rows = slice(1 << l, (1 << l) + k)
-        acc ^= mul_rows(bt.ft, a[rows], arrays.b_prod[rows])
+        acc ^= mul_rows(bt.ft, a[rows], bt.b_prod[rows])
     if ops is not None:
         terms = k // 2 * (k.bit_length() - 1) + k * len(higher)
         ops.adds += (terms - k + (k == h)) * stripes
         ops.muls += k * (1 + len(higher)) * stripes + int(np.count_nonzero(acc))
-    return mul_rows(bt.ft, acc, arrays.b_prod_inv[:k])
+    return mul_rows(bt.ft, acc, bt.b_prod_inv[:k])

@@ -8,14 +8,23 @@ itself, so field addition is XOR of indices: elem(a) + elem(b) =
 elem(a ^ b).  Every module above this one relies on that identity.
 
 Each supported width r has one fixed primitive reduction polynomial,
-DEFAULT_POLY[r].  Multiplication and inversion go through full log/exp
-tables built once per width.  log[0] is stored as 0; the zero element
+DEFAULT_POLY[r], and one numpy symbol dtype, SYMBOL_DTYPE[r]: the
+little-endian r/8-byte integer that shard payloads store on disk and
+the row kernels compute in.  Scalar multiplication and inversion go
+through full log/exp lists.  log[0] is stored as 0; the zero element
 is handled by explicit branches, never by the table.
+FieldTables.arrays holds the same tables as the read-only numpy arrays
+the row kernels read; it is built on first use, and this module
+imports numpy only then.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The primitive reduction polynomial of each supported bit width.
 DEFAULT_POLY = {
@@ -23,16 +32,35 @@ DEFAULT_POLY = {
     16: 0x1100B, # x^16 + x^12 + x^3 + x + 1
 }
 
+# The numpy dtype of one symbol of each width, in memory and on disk.
+SYMBOL_DTYPE = {8: "u1", 16: "<u2"}
+
 # The generator the log table is built from: element index 2 is the
 # polynomial x, which is primitive for both default reduction polynomials.
 ALPHA = 2
+
+
+class FieldArrays(NamedTuple):
+    """One field's tables as read-only numpy arrays.
+
+    exp holds the exp table twice over, so exp[log[a] + log[b]] needs no
+    modular reduction; log is int32, log[0] = 0; inv[a] is a's inverse,
+    inv[0] = 0.  product, at r=8 only, is the 256 x 256 product table
+    flattened, entry (a << 8) | b holding a * b; None at r=16.
+    """
+
+    exp: np.ndarray
+    log: np.ndarray
+    inv: np.ndarray
+    product: np.ndarray | None
 
 
 class FieldTables:
     """Immutable log/exp tables for one GF(2^r) instance.
 
     exp[j] = ALPHA^j for j in [0, 2^r - 1); log[exp[j]] = j.  Safe to
-    share across threads once built.
+    share across threads once built.  Threads that first read arrays at
+    once may each build it; every build is equal, and one is kept.
     """
 
     def __init__(self, r: int, log: list[int], exp: list[int]):
@@ -66,6 +94,26 @@ class FieldTables:
             return 0
         return self.exp[(self.log[a] - self.log[b]) % self.mult_order]
 
+    @functools.cached_property
+    def arrays(self) -> FieldArrays:
+        """log, exp, inverse and (at r=8) product tables as read-only arrays."""
+        import numpy as np
+
+        m = self.mult_order
+        exp = np.array(self.exp * 2, dtype=SYMBOL_DTYPE[self.r])
+        log = np.array(self.log, dtype=np.int32)
+        inv = exp[m - log]
+        inv[0] = 0
+        product = None
+        if self.r == 8:
+            product = exp[log[:, None] + log[None, :]]
+            product[0, :] = product[:, 0] = 0
+            product = product.ravel()
+        for a in (exp, log, inv, product):
+            if a is not None:
+                a.flags.writeable = False
+        return FieldArrays(exp, log, inv, product)
+
 
 def tables_for(r: int) -> FieldTables:
     """Build log/exp tables for bit width r by repeated multiplication by ALPHA.
@@ -96,16 +144,6 @@ def tables_for(r: int) -> FieldTables:
         raise ValueError(f"reduction polynomial {poly:#x} is reducible for r={r}")
     log[0] = 0  # convention: log of zero is stored as 0, and never consulted
     return FieldTables(r, log, exp)
-
-
-def derived(build):
-    """Decorator: build(tables) runs once per table set, kept on the tables."""
-    def get(owner):
-        forms = owner.__dict__.setdefault("_derived", {})
-        if build not in forms:
-            forms.setdefault(build, build(owner))  # the first build wins a race
-        return forms[build]
-    return functools.wraps(build)(get)
 
 
 def _mul_slow(a: int, b: int, poly: int, r: int) -> int:

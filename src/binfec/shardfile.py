@@ -34,7 +34,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 
-from .field import DEFAULT_POLY
+from .field import DEFAULT_POLY, SYMBOL_DTYPE
 
 MAGIC = b"LCHS"
 VERSION = 1
@@ -119,11 +119,6 @@ class ShardHeader:
 _BLOCK_BYTES = 1 << 20
 
 
-def payload_dtype(r: int) -> str:
-    """The on-disk numpy dtype of one symbol: little-endian, r/8 bytes."""
-    return "<u2" if r == 16 else "u1"
-
-
 def bytes_to_stripes(data: bytes, k: int, r: int):
     """File bytes as a read-only (k x stripes) symbol view, zero-padded."""
     import numpy as np
@@ -133,7 +128,7 @@ def bytes_to_stripes(data: bytes, k: int, r: int):
     pad = -len(data) % stripe_bytes
     if pad:
         data = data + b"\0" * pad
-    flat = np.frombuffer(data, dtype=payload_dtype(r))
+    flat = np.frombuffer(data, dtype=SYMBOL_DTYPE[r])
     return flat.reshape(-1, k).T
 
 
@@ -173,7 +168,7 @@ def write_shards(outdir: str, header: ShardHeader, codewords) -> list[str]:
     import numpy as np
 
     os.makedirs(outdir, exist_ok=True)
-    dtype = payload_dtype(header.r)
+    dtype = SYMBOL_DTYPE[header.r]
     paths = []
     for j in range(header.n):
         path = os.path.join(outdir, shard_filename(j))

@@ -20,16 +20,18 @@ its v += u runs.  The array must be C-contiguous,
 so that each reshape is a view of it.  forward() and inverse() are
 their one-column view, list in and list out.
 
-Multiplying rows by constants takes one route per field width.  At
-r=8 symbols are uint8 and a 256 x 256 product table turns the multiply
+Symbols are SYMBOL_DTYPE[r]: uint8 at r=8, uint16 at r=16.  The
+kernels read the butterfly factors BasisTables.w_hat and the field
+tables FieldTables.arrays, read-only arrays each built once by the
+object that owns it.  Multiplying rows by constants takes one route
+per field width.  At r=8 a 256 x 256 product table turns the multiply
 into a gather at the flat index (f << 8) | v.  One gather covers as
 many whole rows as fit in a chunk, so the many short blocks of a
 one-column call cost a few calls per level, and a row wider than a
 chunk is gathered chunk by chunk, so the index buffer stays small.
-At r=16 a product table would not fit, so symbols are uint16 and the
-multiply adds logs and looks the sum up in an exp table stored twice
-over, so no modular reduction is needed; zero operands are masked
-explicitly.
+At r=16 a product table would not fit, so the multiply adds logs and
+looks the sum up in the exp table stored twice over, so no modular
+reduction is needed; zero operands are masked explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
 additions and multiplications the kernels execute, level by level, so
@@ -43,12 +45,11 @@ transforms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .basis import BasisTables
-from .field import FieldTables, derived
+from .field import SYMBOL_DTYPE, FieldTables
 
 # Symbols per table gather at r=8; numpy converts its indices to an
 # 8-byte-per-symbol buffer.
@@ -84,17 +85,17 @@ class OpCounter:
     muls: int = 0
 
 
-class BasisArrays(NamedTuple):
-    """BasisTables' butterfly factors and derivative products as arrays."""
+def symbols(ft: FieldTables, a: np.ndarray) -> np.ndarray:
+    """a in ft's symbol dtype; in another dtype, every value must lie in [0, 2^r).
 
-    w_hat: list[np.ndarray]
-    b_prod: np.ndarray
-    b_prod_inv: np.ndarray
-
-
-def symbol_dtype(ft: FieldTables) -> np.dtype:
-    """uint8 at r=8, uint16 at r=16."""
-    return np.dtype(np.uint8 if ft.r == 8 else np.uint16)
+    A wider dtype can hold values outside the field, which the table
+    gathers would read as other entries: those are rejected.
+    """
+    if a.dtype == SYMBOL_DTYPE[ft.r]:
+        return a
+    if ((a < 0) | (a >= ft.order)).any():
+        raise ValueError(f"symbols must lie in [0, {ft.order})")
+    return a.astype(SYMBOL_DTYPE[ft.r])
 
 
 def column(bt: BasisTables, data: list[int], shift: int = 0) -> np.ndarray:
@@ -107,10 +108,7 @@ def column(bt: BasisTables, data: list[int], shift: int = 0) -> np.ndarray:
     if not 0 <= shift < bt.ft.order:
         raise ValueError(f"shift {shift} outside field of size {bt.ft.order}")
     # int64 first: numpy scalars cast to a narrower dtype would wrap.
-    a = np.array(data, dtype=np.int64).reshape(h, 1)
-    if ((a < 0) | (a >= bt.ft.order)).any():
-        raise ValueError(f"symbols must lie in [0, {bt.ft.order})")
-    return a.astype(symbol_dtype(bt.ft))
+    return symbols(bt.ft, np.array(data, dtype=np.int64).reshape(h, 1))
 
 
 def forward(bt: BasisTables, coeffs: CoeffVec, shift: int = 0,
@@ -129,58 +127,14 @@ def inverse(bt: BasisTables, evals: EvalVec,
     return CoeffVec(a[:, 0].tolist())
 
 
-def forward_counted(bt: BasisTables, coeffs: CoeffVec,
-                    shift: int = 0) -> tuple[EvalVec, OpCounter]:
-    """forward() plus exact counts of the field operations executed."""
-    ops = OpCounter()
-    return forward(bt, coeffs, shift, ops), ops
-
-
-def inverse_counted(bt: BasisTables, evals: EvalVec) -> tuple[CoeffVec, OpCounter]:
-    """inverse() plus exact counts of the field operations executed."""
-    ops = OpCounter()
-    return inverse(bt, evals, ops), ops
-
-
-@derived
-def _field_arrays(ft: FieldTables) -> tuple[np.ndarray, ...]:
-    """r=8: (flat product table,); r=16: (int32 logs, doubled exp table)."""
-    exp = np.asarray(ft.exp, dtype=symbol_dtype(ft))
-    log = np.asarray(ft.log, dtype=np.int32)
-    if ft.r == 16:
-        return log, np.concatenate((exp, exp))
-    table = exp[(log[:, None] + log[None, :]) % ft.mult_order]
-    table[0, :] = table[:, 0] = 0
-    return (table.ravel(),)
-
-
-@derived
-def basis_arrays(bt: BasisTables) -> BasisArrays:
-    """bt's w_hat levels, b_prod and b_prod_inv as symbol arrays."""
-    dtype = symbol_dtype(bt.ft)
-    return BasisArrays([np.asarray(w, dtype=dtype) for w in bt.w_hat],
-                       np.asarray(bt.b_prod, dtype=dtype),
-                       np.asarray(bt.b_prod_inv, dtype=dtype))
-
-
-@derived
-def inverse_table(ft: FieldTables) -> np.ndarray:
-    """Entry a is a's multiplicative inverse (entry 0 is 0), read-only."""
-    inv = np.asarray(ft.exp, dtype=symbol_dtype(ft))[-np.asarray(ft.log) % ft.mult_order]
-    inv[0] = 0
-    inv.flags.writeable = False
-    return inv
-
-
 def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Product of each row v[b] with the field scalar factors[b]."""
-    out = np.empty(v.shape, dtype=symbol_dtype(ft))
+    arrays = ft.arrays
+    out = np.empty(v.shape, dtype=arrays.exp.dtype)
     if ft.r == 16:
-        log, exp2 = _field_arrays(ft)
-        np.take(exp2, log[v] + log[factors][:, None], out=out)
+        np.take(arrays.exp, arrays.log[v] + arrays.log[factors][:, None], out=out)
         out[(v == 0) | (factors == 0)[:, None]] = 0
         return out
-    (table,) = _field_arrays(ft)
     rows, width = v.shape
     group = max(1, _CHUNK // max(width, 1))
     high = factors.astype(np.uint16)[:, None] << 8
@@ -189,7 +143,7 @@ def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
             # For field symbols (f << 8) | v lies inside the 65,536-entry
             # table, so mode="wrap" changes no result; it gathers faster
             # than the default mode, which checks every index.
-            np.take(table, high[b:b + group] | v[b:b + group, s:s + _CHUNK],
+            np.take(arrays.product, high[b:b + group] | v[b:b + group, s:s + _CHUNK],
                     out=out[b:b + group, s:s + _CHUNK], mode="wrap")
     return out
 
@@ -207,7 +161,7 @@ def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
     h = a.shape[0]
     blocks = h >> (i + 1)
     pairs = a.reshape(blocks, 2, a.size // (2 * blocks))
-    factors = basis_arrays(bt).w_hat[i][:blocks]
+    factors = bt.w_hat[i][:blocks]
     if shift:
         factors = factors ^ bt.eval_w_hat(i, shift)
     z = int(factors[0] == 0)

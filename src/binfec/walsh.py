@@ -5,18 +5,17 @@ over the erased elements e.  Its value at every field point, and the
 value of its formal derivative at every erased point, share one
 formula in the log domain: a convolution of the erasure indicator with
 the discrete-log table, indexed by XOR.  The Walsh-Hadamard transform
-diagonalizes XOR-convolution, so both sets of values come out of two
-length-h transforms over the integers mod 2^r - 1 plus pointwise work,
-as one array indexed by position, when every erasure lies in the
-subspace [0, h).  Because 2^r is congruent to 1 modulo 2^r - 1, the
+diagonalizes XOR-convolution, so both sets of values come out of
+three length-h transforms over the integers mod 2^r - 1 (of the
+indicator, of the log table, and one back) plus pointwise work, as one
+array indexed by position, when every erasure lies in the subspace
+[0, h).  Because 2^r is congruent to 1 modulo 2^r - 1, the
 length-2^r transform is its own inverse and needs no normalization
 step; a shorter one is scaled by 2^(r - lg h), its inverse length.
 (F. Didier, "Efficient erasure decoding of Reed-Solomon codes",
 arXiv:0901.1886.)
 
-The full-length log table's transform and the exp table as an array
-depend only on the field, so they are computed once per FieldTables
-and cached.
+The log and exp tables are read from FieldTables.arrays.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .field import FieldTables, derived
-from .transform import symbol_dtype
+from .field import FieldTables
 
 # ResidueVec: a list of ints in [0, modulus), transformed in place.
 ResidueVec = list[int]
@@ -68,22 +66,6 @@ def _fwht(a: np.ndarray, modulus: int) -> np.ndarray:
     return a
 
 
-@derived
-def _fwht_of_log(ft: FieldTables) -> np.ndarray:
-    """The log table's transform, read-only."""
-    a = _fwht(np.array(ft.log, dtype=np.int64), ft.mult_order)
-    a.flags.writeable = False
-    return a
-
-
-@derived
-def _exp_table(ft: FieldTables) -> np.ndarray:
-    """ft.exp as a read-only symbol array."""
-    a = np.asarray(ft.exp, dtype=symbol_dtype(ft))
-    a.flags.writeable = False
-    return a
-
-
 def locator_values(ft: FieldTables, erasures: Iterable[int],
                    h: int | None = None) -> np.ndarray:
     """Locator values for an erasure set, all positions of [0, h) at once.
@@ -119,6 +101,6 @@ def locator_values(ft: FieldTables, erasures: Iterable[int],
         raise ValueError("erasure set must leave at least one survivor")
 
     m = ft.mult_order
-    log = _fwht_of_log(ft) if h == n else _fwht(np.array(ft.log[:h], dtype=np.int64), m)
+    log = _fwht(ft.arrays.log[:h].astype(np.int64), m)
     mixed = _fwht(indicator, m) * log % m
-    return _exp_table(ft)[_fwht(mixed, m) * (n // h) % m]
+    return ft.arrays.exp[_fwht(mixed, m) * (n // h) % m]

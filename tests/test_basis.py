@@ -138,6 +138,17 @@ def test_w_monomial_is_linearized(ft8):
                 assert e != 0 and (e & (e - 1)) == 0
 
 
+@pytest.mark.parametrize("r", (8, 16))
+def test_table_arrays_are_read_only(request, r):
+    # the tables are shared: one write would corrupt every later transform
+    ft, bt = request.getfixturevalue(f"ft{r}"), request.getfixturevalue(f"bt{r}")
+    assert (ft.arrays.product is None) == (r == 16)
+    tables = [a for a in ft.arrays if a is not None] + bt.w_hat + [bt.b_prod, bt.b_prod_inv]
+    for a in tables:
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
 def test_build_rejects_bad_max_h(ft8):
     with pytest.raises(ValueError):
         build_basis_tables(ft8, 3)

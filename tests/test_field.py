@@ -86,6 +86,17 @@ def test_build_rejects_non_primitive_poly(monkeypatch):
         tables_for(8)
 
 
+def test_arrays_are_built_once_per_instance():
+    ft = tables_for(8)
+    arrays = ft.arrays
+    assert ft.arrays is arrays
+    assert tables_for(8).arrays is not arrays
+    assert arrays.exp.tolist() == ft.exp * 2
+    assert arrays.log.tolist() == ft.log
+    assert all(ft.mul(a, int(arrays.inv[a])) == 1 for a in range(1, 256))
+    assert arrays.inv[0] == 0
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         tables_for(12)

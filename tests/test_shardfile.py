@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from binfec.field import SYMBOL_DTYPE
 from binfec.shardfile import (
     HEADER_SIZE,
     InsufficientShardsError,
@@ -73,7 +74,7 @@ def test_stripes_to_bytes_interleaves_block_by_block(monkeypatch):
     monkeypatch.setattr(shardfile, "_BLOCK_BYTES", 40)  # several passes, a short last one
     rng = np.random.default_rng(92)
     for r, k, stripes in ((8, 4, 37), (8, 16, 5), (16, 4, 23), (16, 8, 1)):
-        rows = rng.integers(0, 1 << r, (k, stripes)).astype(shardfile.payload_dtype(r))
+        rows = rng.integers(0, 1 << r, (k, stripes)).astype(SYMBOL_DTYPE[r])
         want = rows.T.tobytes()
         for cut in (len(want), len(want) - 3):
             # array rows, byte strings and memoryviews give the same bytes

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from binfec import transform
 from binfec.basis import build_basis_tables
-from binfec.field import tables_for
+from binfec.field import SYMBOL_DTYPE, tables_for
 from binfec.transform import (
     CoeffVec,
     EvalVec,
     OpCounter,
     degree,
     forward,
-    forward_counted,
     forward_rows,
     inverse,
-    inverse_counted,
     inverse_rows,
     poly_mul,
 )
@@ -107,19 +105,21 @@ def test_operation_counts_match_closed_forms(bt8):
         h = 1 << lg
         d = CoeffVec([rng.randrange(256) for _ in range(h)])
         shift = h if h < 256 else 255  # outside the point set either way
-        _, ops = forward_counted(bt8, d, shift)
+        ops, ops0 = OpCounter(), OpCounter()
+        forward(bt8, d, shift, ops)
         assert (ops.adds, ops.muls) == (h * lg, h // 2 * lg)
-        _, ops0 = forward_counted(bt8, d, 0)
+        forward(bt8, d, 0, ops0)
         assert (ops0.adds, ops0.muls) == (h * lg - h + 1, h // 2 * lg - h + 1)
 
 
 def test_operation_count_spot_values(bt8):
     d = CoeffVec(list(range(1, 9)))
-    _, ops = forward_counted(bt8, d, 8)
+    ops, ops0, ops1 = OpCounter(), OpCounter(), OpCounter()
+    forward(bt8, d, 8, ops)
     assert (ops.adds, ops.muls) == (24, 12)
-    _, ops0 = forward_counted(bt8, d, 0)
+    forward(bt8, d, 0, ops0)
     assert (ops0.adds, ops0.muls) == (17, 5)
-    _, ops1 = forward_counted(bt8, CoeffVec([42]), 3)
+    forward(bt8, CoeffVec([42]), 3, ops1)
     assert (ops1.adds, ops1.muls) == (0, 0)
 
 
@@ -128,8 +128,8 @@ def test_inverse_counts_match_forward(bt8):
     for lg in (1, 3, 6):
         h = 1 << lg
         d = CoeffVec([rng.randrange(256) for _ in range(h)])
-        ev, fops = forward_counted(bt8, d, h)
-        _, iops = inverse_counted(bt8, ev)
+        fops, iops = OpCounter(), OpCounter()
+        inverse(bt8, forward(bt8, d, h, fops), iops)
         assert (iops.adds, iops.muls) == (fops.adds, fops.muls)
 
 
@@ -147,7 +147,7 @@ def test_counted_multiplications_are_the_kernels_work(mul_rows_work, bt8, bt16, 
         drops = {0: h - 1} | ({h: 0} if h < bt.ft.order else {})
         for shift, drop in drops.items():
             for kernel in (forward_rows, inverse_rows):
-                a = rng.integers(0, bt.ft.order, (h, 3)).astype(transform.symbol_dtype(bt.ft))
+                a = rng.integers(0, bt.ft.order, (h, 3)).astype(SYMBOL_DTYPE[r])
                 work.clear()
                 ops = OpCounter()
                 kernel(bt, a, shift, ops)

@@ -115,14 +115,6 @@ def test_subspace_locator_validation(ft8):
         locator_values(ft8, range(16), 16)  # no survivor left
 
 
-def test_log_transform_is_cached_per_field(ft8):
-    from binfec import walsh
-    locator_values(ft8, {1})
-    first = walsh._fwht_of_log(ft8)
-    locator_values(ft8, {2, 9})
-    assert walsh._fwht_of_log(ft8) is first
-
-
 def test_r16_locator_spot_checks(ft16):
     rng = random.Random(54)
     erased = set(rng.sample(range(1 << 16), 100))
