@@ -18,7 +18,7 @@ _EXPORTS = {
     "batch": ["CodeParams", "TooManyErasuresError"],
     "derivative": ["derivative_direct", "derivative_fast"],
     "field": ["DEFAULT_POLY", "FieldTables", "SYMBOL_DTYPE", "tables_for"],
-    "rs": ["Codeword", "ErasurePattern", "decode", "encode", "shorten"],
+    "rs": ["Codeword", "ErasurePattern", "decode", "encode"],
     "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward", "inverse",
                   "poly_mul"],
     "walsh": ["fwht", "locator_values"],

@@ -63,10 +63,6 @@ class CodeParams:
     def n(self) -> int:
         return 1 << self.r
 
-    @property
-    def parity(self) -> int:
-        return self.n - self.k
-
 
 class BatchCodec:
     """Shard-major encoder/decoder for one (CodeParams, BasisTables) pair."""

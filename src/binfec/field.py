@@ -14,13 +14,12 @@ the row kernels compute in.  Scalar multiplication and inversion go
 through full log/exp lists.  log[0] is stored as 0; the zero element
 is handled by explicit branches, never by the table.
 FieldTables.arrays holds the same tables as the read-only numpy arrays
-the row kernels read; it is built on first use, and this module
-imports numpy only then.
+the row kernels read; they are built with the tables, and this module
+imports numpy only inside FieldTables.__init__.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -58,21 +57,34 @@ class FieldArrays(NamedTuple):
 class FieldTables:
     """Immutable log/exp tables for one GF(2^r) instance.
 
-    exp[j] = ALPHA^j for j in [0, 2^r - 1); log[exp[j]] = j.  Safe to
-    share across threads once built.  Threads that first read arrays at
-    once may each build it; every build is equal, and one is kept.
+    exp[j] = ALPHA^j for j in [0, 2^r - 1); log[exp[j]] = j.  arrays
+    holds the log, exp, inverse and (at r=8) product tables as read-only
+    numpy arrays.  Safe to share across threads.
     """
 
     def __init__(self, r: int, log: list[int], exp: list[int]):
+        import numpy as np
+
         self.r = r
         self.order = 1 << r                # 2^r
         self.mult_order = self.order - 1   # size of the multiplicative group
         self.log = log
         self.exp = exp
 
-    def add(self, a: int, b: int) -> int:
-        """Field addition: XOR of representations (= XOR of indices)."""
-        return a ^ b
+        m = self.mult_order
+        exp_a = np.array(exp * 2, dtype=SYMBOL_DTYPE[r])
+        log_a = np.array(log, dtype=np.int32)
+        inv = exp_a[m - log_a]
+        inv[0] = 0
+        product = None
+        if r == 8:
+            product = exp_a[log_a[:, None] + log_a[None, :]]
+            product[0, :] = product[:, 0] = 0
+            product = product.ravel()
+        for a in (exp_a, log_a, inv, product):
+            if a is not None:
+                a.flags.writeable = False
+        self.arrays = FieldArrays(exp_a, log_a, inv, product)
 
     def mul(self, a: int, b: int) -> int:
         """Field multiplication via log/exp lookup."""
@@ -93,26 +105,6 @@ class FieldTables:
         if a == 0:
             return 0
         return self.exp[(self.log[a] - self.log[b]) % self.mult_order]
-
-    @functools.cached_property
-    def arrays(self) -> FieldArrays:
-        """log, exp, inverse and (at r=8) product tables as read-only arrays."""
-        import numpy as np
-
-        m = self.mult_order
-        exp = np.array(self.exp * 2, dtype=SYMBOL_DTYPE[self.r])
-        log = np.array(self.log, dtype=np.int32)
-        inv = exp[m - log]
-        inv[0] = 0
-        product = None
-        if self.r == 8:
-            product = exp[log[:, None] + log[None, :]]
-            product[0, :] = product[:, 0] = 0
-            product = product.ravel()
-        for a in (exp, log, inv, product):
-            if a is not None:
-                a.flags.writeable = False
-        return FieldArrays(exp, log, inv, product)
 
 
 def tables_for(r: int) -> FieldTables:

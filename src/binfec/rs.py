@@ -75,10 +75,3 @@ def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
     erased = pattern.erased
     a = column(bt, [0 if j in erased else s for j, s in enumerate(received)])
     return codec.decode({j: a[j] for j in pattern.known}, ops)[:, 0].tolist()
-
-
-def shorten(cp: CodeParams, message: Sequence[int]) -> list[int]:
-    """Zero-pad a short message up to k symbols."""
-    if len(message) > cp.k:
-        raise ValueError(f"message length {len(message)} exceeds k={cp.k}")
-    return list(message) + [0] * (cp.k - len(message))

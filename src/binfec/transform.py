@@ -89,10 +89,14 @@ def symbols(ft: FieldTables, a: np.ndarray) -> np.ndarray:
     """a in ft's symbol dtype; in another dtype, every value must lie in [0, 2^r).
 
     A wider dtype can hold values outside the field, which the table
-    gathers would read as other entries: those are rejected.
+    gathers would read as other entries: those are rejected, and so is
+    a dtype that is not integer (float, bool, object), which a cast
+    would truncate.
     """
     if a.dtype == SYMBOL_DTYPE[ft.r]:
         return a
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers in [0, {ft.order}), got dtype {a.dtype}")
     if ((a < 0) | (a >= ft.order)).any():
         raise ValueError(f"symbols must lie in [0, {ft.order})")
     return a.astype(SYMBOL_DTYPE[ft.r])
@@ -107,8 +111,7 @@ def column(bt: BasisTables, data: list[int], shift: int = 0) -> np.ndarray:
         raise ValueError(f"transform size {h} exceeds table capacity {bt.max_h}")
     if not 0 <= shift < bt.ft.order:
         raise ValueError(f"shift {shift} outside field of size {bt.ft.order}")
-    # int64 first: numpy scalars cast to a narrower dtype would wrap.
-    return symbols(bt.ft, np.array(data, dtype=np.int64).reshape(h, 1))
+    return symbols(bt.ft, np.asarray(data).reshape(h, 1))
 
 
 def forward(bt: BasisTables, coeffs: CoeffVec, shift: int = 0,

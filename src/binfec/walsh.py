@@ -15,7 +15,9 @@ step; a shorter one is scaled by 2^(r - lg h), its inverse length.
 (F. Didier, "Efficient erasure decoding of Reed-Solomon codes",
 arXiv:0901.1886.)
 
-The log and exp tables are read from FieldTables.arrays.
+fwht() is the one transform: it takes an integer array and returns a
+new int64 array of residues.  The log and exp tables are read from
+FieldTables.arrays.
 """
 
 from __future__ import annotations
@@ -26,36 +28,29 @@ import numpy as np
 
 from .field import FieldTables
 
-# ResidueVec: a list of ints in [0, modulus), transformed in place.
-ResidueVec = list[int]
 
-
-def fwht(data: ResidueVec, modulus: int) -> ResidueVec:
-    """In-place Walsh-Hadamard transform over Z_modulus.
+def fwht(data: np.ndarray, modulus: int) -> np.ndarray:
+    """Walsh-Hadamard transform over Z_modulus of an integer array.
 
     Length must be a power of two; each butterfly maps (a, b) to
-    (a + b, a - b), and the result is reduced into [0, modulus).
-    Raises ValueError when length * modulus reaches 2^62, where the
-    unreduced int64 butterflies could overflow.
+    (a + b, a - b).  Returns a new int64 array reduced into
+    [0, modulus); data is left as it is.  The input is reduced first
+    and the butterflies run unreduced, one reshape per level, so
+    entries stay below length * modulus in magnitude: ValueError when
+    that reaches 2^62, where int64 could overflow, and for values that
+    are not integers.
     """
-    n = len(data)
+    a = np.asarray(data)
+    if a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64):
+        raise ValueError(f"values must be integers that fit int64, got {a.dtype}")
+    n = len(a)
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
     if n * modulus >= 1 << 62:
         raise ValueError(f"length {n} times modulus {modulus} overflows int64")
-    data[:] = _fwht(np.array(data, dtype=np.int64) % modulus, modulus).tolist()
-    return data
-
-
-def _fwht(a: np.ndarray, modulus: int) -> np.ndarray:
-    """fwht() on an int64 array of residues, in place: one reshape per level.
-
-    The butterflies run unreduced and one remainder ends the transform:
-    entries stay below len(a) * modulus in magnitude, below 2^32 for
-    the field sizes here.
-    """
+    a = a.astype(np.int64) % modulus
     half = 1
-    while half < len(a):
+    while half < n:
         pairs = a.reshape(-1, 2, half)
         x, y = pairs[:, 0], pairs[:, 1]
         diff = x - y
@@ -91,6 +86,8 @@ def locator_values(ft: FieldTables, erasures: Iterable[int],
                            else list(erasures))
     if not positions.size:
         raise ValueError("erasure set must not be empty")
+    if positions.dtype.kind not in "iu":
+        raise ValueError(f"erasure positions must be integers, got {positions.dtype}")
     outside = positions[(positions < 0) | (positions >= h)]
     if outside.size:
         raise ValueError(f"erasure position {outside[0]} outside [0, {h})")
@@ -101,6 +98,6 @@ def locator_values(ft: FieldTables, erasures: Iterable[int],
         raise ValueError("erasure set must leave at least one survivor")
 
     m = ft.mult_order
-    log = _fwht(ft.arrays.log[:h].astype(np.int64), m)
-    mixed = _fwht(indicator, m) * log % m
-    return ft.arrays.exp[_fwht(mixed, m) * (n // h) % m]
+    log = fwht(ft.arrays.log[:h], m)
+    mixed = fwht(indicator, m) * log % m
+    return ft.arrays.exp[fwht(mixed, m) * (n // h) % m]

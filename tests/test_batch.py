@@ -137,6 +137,11 @@ def test_batch_shape_validation(bt8):
         codec.encode(np.zeros((16, 2), dtype=np.uint16))
     with pytest.raises(ValueError):
         codec.encode(np.full((32, 2), 256, dtype=np.uint16))
+    # a dtype that is not integer: a cast would truncate 1.5 to 1
+    with pytest.raises(ValueError):
+        BatchCodec(CodeParams(8, 2), bt8).encode(np.array([[1.5], [2.9]]))
+    with pytest.raises(ValueError):
+        codec.encode(np.ones((32, 2), dtype=bool))
 
 
 def test_batch_decode_rejects_invalid_survivor_maps(bt8):

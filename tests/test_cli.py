@@ -281,3 +281,6 @@ def test_selftest_command_passes(capsys):
     out = capsys.readouterr().out
     assert "h=8 l=0: adds 17/17 muls 5/5" in out
     assert "FAIL" not in out
+    suites = [line.split(":")[0] for line in out.splitlines() if line.startswith("ok")]
+    assert suites == ["ok   " + name for name in (
+        "field", "transform", "operation counts", "derivative", "locator", "codec")]

@@ -11,12 +11,6 @@ from oracles import clmul_inverse, clmul_order, clmul_reduce
 POLY8 = DEFAULT_POLY[8]
 
 
-def test_add_is_xor_of_indices(ft8):
-    assert ft8.add(5, 5) == 0
-    assert ft8.add(3, 0) == 3
-    assert ft8.add(6, 3) == 5
-
-
 def test_mul_identity_and_zero(ft8):
     assert ft8.mul(1, 37) == 37
     assert ft8.mul(0, 200) == 0
@@ -107,7 +101,6 @@ def test_field_axioms_random_triples(ft8):
     for _ in range(10_000):
         a, b, c = (rng.randrange(256) for _ in range(3))
         assert ft8.mul(a, b) == ft8.mul(b, a)
-        assert ft8.add(a, b) == ft8.add(b, a)
         assert ft8.mul(ft8.mul(a, b), c) == ft8.mul(a, ft8.mul(b, c))
         assert ft8.mul(a, b ^ c) == ft8.mul(a, b) ^ ft8.mul(a, c)
 
@@ -124,5 +117,7 @@ def test_mul_property_vs_oracle(a, b):
 @given(a=st.integers(0, 255), b=st.integers(0, 255))
 @settings(max_examples=200, deadline=None)
 def test_element_sum_is_index_xor(a, b):
-    # the element indexed a plus the element indexed b is indexed a ^ b
-    assert _FT8.add(a, b) == a ^ b
+    # the element indexed a plus the element indexed b is indexed a ^ b:
+    # times any c, the table product of a ^ b is the oracle's sum
+    for c in (1, 2, 0x8E, 255):
+        assert _FT8.mul(a ^ b, c) == clmul_reduce(a, c, POLY8, 8) ^ clmul_reduce(b, c, POLY8, 8)

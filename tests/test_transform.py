@@ -211,6 +211,11 @@ def test_symbols_outside_the_field_are_rejected(bt8):
         inverse(bt8, EvalVec([np.uint16(300), 0], 0))
     with pytest.raises(ValueError):
         forward(bt8, CoeffVec([-1, 0]), 3)
+    # values that are not integers, which a cast would truncate
+    with pytest.raises(ValueError):
+        forward(bt8, CoeffVec([1.5, 2]), 0)
+    with pytest.raises(ValueError):
+        inverse(bt8, EvalVec([2**70, 1], 0))
 
 
 def test_row_kernels_reject_arrays_they_cannot_transform_in_place(bt8):

@@ -9,32 +9,44 @@ from oracles import LocatorOracle, locator_direct
 
 
 def test_fwht_zero_vector():
-    assert fwht([0] * 8, 255) == [0] * 8
+    out = fwht(np.zeros(8, dtype=np.int64), 255)
+    assert out.dtype == np.int64
+    assert out.tolist() == [0] * 8
 
 
 def test_fwht_single_butterfly():
-    assert fwht([7, 3], 255) == [10, 4]
-    assert fwht([3, 7], 255) == [10, 251]  # subtraction wraps into range
+    v = np.array([7, 3], dtype=np.uint8)
+    assert fwht(v, 255).tolist() == [10, 4]
+    assert v.tolist() == [7, 3]  # a new array is returned
+    assert fwht(np.array([3, 7]), 255).tolist() == [10, 251]  # subtraction wraps into range
 
 
 def test_fwht_is_involution_at_field_length():
     rng = random.Random(51)
     for _ in range(20):
-        v = [rng.randrange(255) for _ in range(256)]
-        w = fwht(fwht(list(v), 255), 255)
-        assert w == v
+        v = np.array([rng.randrange(255) for _ in range(256)])
+        w = fwht(fwht(v, 255), 255)
+        assert w.tolist() == v.tolist()
 
 
 def test_fwht_rejects_bad_length():
     with pytest.raises(ValueError):
-        fwht([1, 2, 3], 255)
+        fwht(np.array([1, 2, 3]), 255)
+
+
+def test_fwht_rejects_values_that_are_not_integers():
+    # a cast would truncate 1.5 to 1 and transform [1, 2]
+    with pytest.raises(ValueError):
+        fwht([1.5, 2], 255)
+    with pytest.raises(ValueError):
+        fwht(np.array([True, False]), 255)
 
 
 def test_fwht_reduces_its_input_and_refuses_int64_overflow():
-    assert fwht([7 + 255, 3 - 2 * 255], 255) == [10, 4]
-    assert fwht([0, 1], (1 << 61) - 1) == [1, (1 << 61) - 2]
+    assert fwht(np.array([7 + 255, 3 - 2 * 255]), 255).tolist() == [10, 4]
+    assert fwht(np.array([0, 1]), (1 << 61) - 1).tolist() == [1, (1 << 61) - 2]
     with pytest.raises(ValueError, match="overflows"):
-        fwht([0, 1], 1 << 61)
+        fwht(np.array([0, 1]), 1 << 61)
 
 
 def test_single_erasure_locator(ft8):
@@ -87,6 +99,11 @@ def test_input_validation(ft8):
         locator_values(ft8, np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
         locator_values(ft8, range(256))  # no survivor left
+    # positions that are not integers: a cast would erase position 1
+    with pytest.raises(ValueError):
+        locator_values(ft8, [1.5])
+    with pytest.raises(ValueError):
+        locator_values(ft8, np.array([True]))
 
 
 def test_subspace_locator_matches_direct_products(ft8, ft16):
