@@ -1,8 +1,10 @@
 """The Reed-Solomon codec pipeline, run on every stripe of a file at once.
 
 Stripes are independent codewords that share one butterfly schedule, so
-the shard CLI stores a file's codewords shard-major: an (n x stripes)
-array whose row j is shard j's payload, exactly as it sits on disk.
+the codec takes many at once, shard-major: an (n x stripes) array whose
+row j is shard j's payload, exactly as it sits on disk.  The shard CLI
+passes a file one chunk of stripes at a time, so that its memory does
+not grow with the file.
 
 Encoding interprets each stripe's k message symbols as evaluations of
 a unique degree-< k polynomial at the first k field points, recovers
@@ -76,6 +78,10 @@ class BatchCodec:
         self.bt = bt
         self.ft = bt.ft
         self.dtype = np.dtype(SYMBOL_DTYPE[cp.r])
+        # (survivor positions used, erased mask, locator_values) of the
+        # last repair: a file's chunks repeat one survivor set, and the
+        # locator costs about 9 ms at r=16.
+        self._locator: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     # -- phases over rows (row j = codeword position j), one method each
     # so that perfbench/trace.py can time them by name ------------------
@@ -130,7 +136,9 @@ class BatchCodec:
         highest survivor used, and a k-point forward transform; ops, if
         given, also counts the locator scaling (one multiplication per
         survivor used) and the final division (one per lost data row),
-        per stripe.
+        per stripe.  A repair that uses the same survivor positions as
+        the one before, as every chunk of a streamed file does, reuses
+        its erasure locator.
         """
         n, k = self.cp.n, self.cp.k
         if not all(0 <= j < n for j in survivors):
@@ -149,13 +157,17 @@ class BatchCodec:
         if last == k - 1:  # every data row survives
             return rows
 
-        # [0, h) holds the k survivors used; the code restricted to that
-        # subspace is an (h, k) code in the same basis.
-        h = max(k, 1 << last.bit_length())
         known = np.array(positions[:k])
-        erased = np.ones(h, dtype=bool)
-        erased[known] = False
-        loc = locator_values(self.ft, np.flatnonzero(erased), h)
+        key, memo = known.tobytes(), self._locator
+        if memo is None or memo[0] != key:
+            # [0, h) holds the k survivors used; the code restricted to
+            # that subspace is an (h, k) code in the same basis.
+            h = max(k, 1 << last.bit_length())
+            erased = np.ones(h, dtype=bool)
+            erased[known] = False
+            memo = self._locator = key, erased, locator_values(self.ft, np.flatnonzero(erased), h)
+        _, erased, loc = memo
+        h = len(erased)
         # Erased points are the locator's roots, so their rows stay zero.
         phi = np.zeros((h, width), dtype=self.dtype)
         phi[known] = mul_rows(self.ft, rows, loc[known])

@@ -8,26 +8,40 @@ Subcommands:
     selftest  run the built-in consistency suites
     bench     time encode/decode for one configuration and print a CSV
               line with field-operation counts
+
+encode and decode stream the file: each handles one chunk of about
+shardfile.CHUNK_BYTES of file bytes at a time, so their memory does not
+grow with the file.  Encode appends each chunk's codewords to the
+shards and writes the headers with the last chunk, so its input may be
+a pipe.  It refuses a directory holding shard files that it would not
+overwrite, which a later decode would count among the new shards.
+Decode reads each chunk's window of the k chosen shards, repairs or
+interleaves it, and writes the file beside --out under a temporary
+name, renamed onto --out only when the whole file is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import os
 import sys
 
 from .basis import build_basis_tables
-from .field import SYMBOL_DTYPE, tables_for
+from .field import tables_for
 from .shardfile import (
     InsufficientShardsError,
     SHARD_SUFFIX,
     ShardFormatError,
     ShardHeader,
+    append_shards,
     bytes_to_stripes,
+    chunk_stripes,
+    read_chunks,
     read_shards,
+    shard_filename,
     stripes_to_bytes,
-    write_shards,
 )
 
 # This module and the ones above import no numpy: a decode that finds
@@ -35,61 +49,90 @@ from .shardfile import (
 # decode, selftest and bench import numpy and the codec when they run.
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _shard_paths(folder: str) -> list[str]:
+    return sorted(glob.glob(os.path.join(glob.escape(folder), "*" + SHARD_SUFFIX)))
+
+
+def _codec(r: int, k: int):
+    """The codec of an (n = 2^r, k) code, its tables built."""
     from .batch import BatchCodec, CodeParams
 
-    r, k = args.r, args.k
     cp = CodeParams(r, k)
-    if k >= cp.n:  # a shard header holds log2(k) below r
-        raise ValueError(f"k must be below n={cp.n}, got {k}")
+    return BatchCodec(cp, build_basis_tables(tables_for(r), cp.n))
+
+
+def _cmd_encode(args: argparse.Namespace) -> int:
+    r, k = args.r, args.k
+    codec = _codec(r, k)
+    n = codec.cp.n
+    if k >= n:  # a shard header holds log2(k) below r
+        raise ValueError(f"k must be below n={n}, got {k}")
+    own = {shard_filename(j) for j in range(n)}
+    stale = [p for p in _shard_paths(args.outdir) if os.path.basename(p) not in own]
+    if stale:
+        raise ValueError(f"{args.outdir} holds {len(stale)} shard file(s) that this encode "
+                         f"would not overwrite, such as {stale[0]}; a decode would count "
+                         f"them among the new shards")
+
+    offset = 0  # payload bytes in each shard so far
     with open(args.input, "rb") as fh:
-        data = fh.read()
-
-    ft = tables_for(r)
-    bt = build_basis_tables(ft, cp.n)
-    header = ShardHeader(r=r, log2_k=k.bit_length() - 1, shard_index=0,
-                         original_length=len(data))
-
-    stripes = bytes_to_stripes(data, k, r)
-    codewords = BatchCodec(cp, bt).encode(stripes)
-    paths = write_shards(args.outdir, header, codewords)
-    print(f"wrote {len(paths)} shards ({stripes.shape[1]} stripes, k={k}, n={cp.n}) "
+        os.makedirs(args.outdir, exist_ok=True)
+        for chunk, length in read_chunks(fh, k, r):
+            header = None if length is None else ShardHeader(r, k.bit_length() - 1, 0, length)
+            # no name keeps a chunk's codewords, n/k chunks' worth, alive
+            # while the next chunk's are built
+            append_shards(args.outdir, codec.encode(bytes_to_stripes(chunk, k, r)),
+                          offset, header)
+            offset += len(chunk) // k
+    print(f"wrote {n} shards ({offset // (r // 8)} stripes, k={k}, n={n}) "
           f"to {args.outdir}")
     return 0
 
 
-def _repair(header: ShardHeader, columns: dict[int, memoryview]):
+def _repair(codec, columns: dict[int, bytes]):
     """The (k x stripes) data rows rebuilt by the codec from k shard payloads."""
     import numpy as np
 
-    from .batch import BatchCodec, CodeParams
+    return codec.decode({j: np.frombuffer(p, codec.dtype) for j, p in columns.items()})
 
-    ft = tables_for(header.r)
-    codec = BatchCodec(CodeParams(header.r, header.k), build_basis_tables(ft, header.n))
-    dtype = SYMBOL_DTYPE[header.r]
-    return codec.decode({j: np.frombuffer(p, dtype) for j, p in columns.items()})
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A new file beside path, renamed onto it if the block completes, else removed."""
+    folder, name = os.path.split(path)
+    temp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    fh = open(temp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    paths = sorted(glob.glob(os.path.join(args.shards, "*" + SHARD_SUFFIX)))
-    header, columns, skipped = read_shards(paths)
+    header, shards, skipped = read_shards(_shard_paths(args.shards))
     for note in skipped:
         print(f"warning: skipping {note}", file=sys.stderr)
 
-    k = header.k
-    if len(columns) < k:
+    k, width = header.k, header.symbol_width
+    if len(shards) < k:
         raise InsufficientShardsError(
-            f"have {len(columns)} usable shards, need at least {k}")
+            f"have {len(shards)} usable shards, need at least {k}")
 
-    if all(j in columns for j in range(k)):
-        rows = [columns[j] for j in range(k)]  # systematic: no field arithmetic
-    else:
-        rows = _repair(header, columns)
-    data = stripes_to_bytes(rows, header.r, header.original_length)
-
-    with open(args.output, "wb") as fh:
-        fh.write(data)
-    print(f"reconstructed {len(data)} bytes from {len(columns)} shards "
+    # systematic when every data shard is present: no field arithmetic
+    codec = None if all(j in shards for j in range(k)) else _codec(header.r, k)
+    step = chunk_stripes(k, header.r)
+    with _replacing(args.output) as out:
+        for start in range(0, header.stripe_count, step):
+            window = start * width, min(step, header.stripe_count - start) * width
+            columns = {j: shard.read(*window) for j, shard in shards.items()}
+            rows = list(columns.values()) if codec is None else _repair(codec, columns)
+            out.write(stripes_to_bytes(rows, header.r,
+                                       header.original_length - start * k * width))
+    print(f"reconstructed {header.original_length} bytes from {len(shards)} shards "
           f"to {args.output}")
     return 0
 

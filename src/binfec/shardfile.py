@@ -1,4 +1,4 @@
-"""Shard file format and whole-file stripe packing.
+"""Shard file format, stripe packing, and shard files read and written in chunks.
 
 A shard file is a 21-byte header followed by that shard's symbols, one
 per stripe, in stripe order.  Symbols are little-endian, r/8 bytes
@@ -18,9 +18,17 @@ symbol j of that stripe is bytes [j*w, (j+1)*w) of the slice.  Data
 shards (index < k) therefore carry the original bytes verbatim, and
 the file is padded with zeros up to a whole number of stripes (the
 header's original length says where to cut on reassembly).  In memory
-a file is a shard-major (shards x stripes) symbol array: row j is
-shard j's payload as stored, so the file's bytes are the transpose of
-its k data rows, and writing or reading a shard moves one row.
+a run of stripes is a shard-major (shards x stripes) symbol array: row
+j is shard j's payload as stored, so the file's bytes are the
+transpose of its k data rows, and writing or reading a shard moves one
+row.
+
+Files are read and written one chunk of about CHUNK_BYTES of file
+bytes at a time: read_chunks reads the input into reused buffers,
+append_shards writes each chunk's rows at their offset in every shard,
+and Shard.read reads one window of a shard's payload.  A shard file is
+opened for one chunk's access and closed again, so the number of open
+files stays one however large n is.
 
 Reading and reassembly need no numpy: a decode that finds every data
 shard only interleaves their payloads.  numpy is imported by the
@@ -75,6 +83,11 @@ class ShardHeader:
     def stripe_count(self) -> int:
         stripe_bytes = self.k * self.symbol_width
         return -(-self.original_length // stripe_bytes) if self.original_length else 0
+
+    @property
+    def payload_size(self) -> int:
+        """Bytes after the header: one symbol per stripe."""
+        return self.stripe_count * self.symbol_width
 
     def with_index(self, index: int) -> "ShardHeader":
         return ShardHeader(self.r, self.log2_k, index, self.original_length)
@@ -163,55 +176,160 @@ def shard_filename(index: int) -> str:
     return f"shard-{index:05d}{SHARD_SUFFIX}"
 
 
+# File bytes per chunk of a streamed encode or decode, rounded down to
+# whole stripes.  Peak memory is a few chunks, not the file; an encode
+# also holds one chunk's codewords, n/k chunks' worth.  At 512 KiB a
+# chunk's transposes stay in cache: the codec alone (2-core Xeon)
+# encodes a 4 MiB file at k=128 in 0.064 s chunk by chunk, against
+# 0.080 s in one pass, and repairs it at k=128 in the same time either
+# way.
+CHUNK_BYTES = 512 << 10
+
+
+def chunk_stripes(k: int, r: int) -> int:
+    """Stripes per chunk: about CHUNK_BYTES of file, at least one stripe."""
+    return max(1, CHUNK_BYTES // (k * (r // 8)))
+
+
+def _fill(fh, buf: bytearray) -> int:
+    """Read fh into buf until buf is full or fh ends; the bytes read."""
+    view, got = memoryview(buf), 0
+    while got < len(buf):
+        size = fh.readinto(view[got:])  # a pipe returns what it holds
+        if not size:
+            break
+        got += size
+    return got
+
+
+def read_chunks(fh, k: int, r: int):
+    """Yield a file's bytes from fh one chunk at a time, as (chunk, length).
+
+    chunk is a memoryview of chunk_stripes(k, r) whole stripes or
+    fewer, the last stripe zero-padded; it is valid until the next
+    chunk is asked for, as two buffers are reused throughout.  length
+    is None until the last chunk, which carries the number of bytes
+    read in all: each chunk is read before the one ahead of it is
+    yielded, so a file whose length is not known in advance, such as a
+    pipe, still ends with its length.  An empty file gives one empty
+    chunk.
+    """
+    stripe_bytes = k * (r // 8)
+    size = chunk_stripes(k, r) * stripe_bytes
+    this, ahead = bytearray(size), bytearray(size)
+    got, total = _fill(fh, this), 0
+    while True:
+        total += got
+        ahead_got = _fill(fh, ahead) if got == size else 0
+        stop = -(-got // stripe_bytes) * stripe_bytes
+        this[got:stop] = bytes(stop - got)
+        yield memoryview(this)[:stop], None if ahead_got else total
+        if not ahead_got:
+            return
+        this, ahead, got = ahead, this, ahead_got
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    # os.pwrite may write less than it was given; write the rest
+    view = _byte_view(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def append_shards(outdir: str, codewords, offset: int,
+                  header: ShardHeader | None = None) -> None:
+    """Write row j of (n x stripes) codewords into shard file j at payload offset.
+
+    offset is the payload bytes each shard holds already; 0 creates (or
+    empties) every file.  header, given with the file's last chunk, is
+    written at the start of every file.  Until then each file's first
+    HEADER_SIZE bytes are left unwritten, so they read as zeros, which
+    no decode accepts: the shards of an encode that stops early are
+    unreadable, not wrong.  Each file is opened for its row only, so
+    one shard at most is open at a time (n reaches 65,536).
+    """
+    flags = os.O_WRONLY | (os.O_CREAT | os.O_TRUNC if offset == 0 else 0)
+    for j, row in enumerate(codewords):
+        fd = os.open(os.path.join(outdir, shard_filename(j)), flags, 0o666)
+        try:
+            if header is not None:
+                _pwrite(fd, header.with_index(j).pack(), 0)
+            _pwrite(fd, row, HEADER_SIZE + offset)
+        finally:
+            os.close(fd)
+
+
 def write_shards(outdir: str, header: ShardHeader, codewords) -> list[str]:
     """Write one shard file per row of (n x stripes) codewords; returns the paths."""
     import numpy as np
 
     os.makedirs(outdir, exist_ok=True)
-    dtype = SYMBOL_DTYPE[header.r]
-    paths = []
-    for j in range(header.n):
-        path = os.path.join(outdir, shard_filename(j))
-        with open(path, "wb") as fh:
-            fh.write(header.with_index(j).pack())
-            fh.write(np.ascontiguousarray(codewords[j], dtype=dtype))
-        paths.append(path)
-    return paths
+    append_shards(outdir, np.ascontiguousarray(codewords, dtype=SYMBOL_DTYPE[header.r]),
+                  0, header)
+    return [os.path.join(outdir, shard_filename(j)) for j in range(len(codewords))]
 
 
 def _read_header(path: str) -> tuple[ShardHeader, int]:
     """A shard file's header and payload size, reading only the header."""
-    with open(path, "rb", buffering=0) as fh:
-        header = ShardHeader.unpack(fh.read(HEADER_SIZE))
-        return header, os.fstat(fh.fileno()).st_size - HEADER_SIZE
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        raw, size = os.pread(fd, HEADER_SIZE, 0), os.fstat(fd).st_size
+    finally:
+        os.close(fd)
+    return ShardHeader.unpack(raw), size - HEADER_SIZE
 
 
-def _read_payload(path: str, header: ShardHeader) -> memoryview:
-    """The payload of a shard file whose header and size were checked before."""
-    with open(path, "rb", buffering=0) as fh:
-        raw = fh.read()
-    size = header.stripe_count * header.symbol_width
-    if raw[:HEADER_SIZE] != header.pack() or len(raw) != HEADER_SIZE + size:
-        raise ShardFormatError("changed while being read")
-    return memoryview(raw)[HEADER_SIZE:]
+class Shard:
+    """A shard file whose header was read and agrees with the consensus."""
+
+    def __init__(self, path: str, header: ShardHeader):
+        self.path = path
+        self.header = header
+        # what the file must still hold: its header bytes and its size
+        self._expected = header.pack(), HEADER_SIZE + header.payload_size
+
+    def read(self, offset: int, size: int) -> bytes:
+        """Payload bytes [offset, offset + size).
+
+        The file is opened for this read only, so a decode holds no
+        shard open between reads, and its header bytes and size are
+        checked again first: a shard that changed since its header was
+        read, or that ends before the window does, raises
+        ShardFormatError.
+        """
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            found = os.pread(fd, HEADER_SIZE, 0), os.fstat(fd).st_size
+            data = os.pread(fd, size, HEADER_SIZE + offset) if found == self._expected else b""
+        finally:
+            os.close(fd)
+        if len(data) != size or found != self._expected:
+            raise ShardFormatError(f"{self.path}: changed while being read")
+        return data
 
 
-def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, memoryview], list[str]]:
-    """Read the k shard payloads a decode uses, checking every shard's header.
+def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[str]]:
+    """Check every shard's header and choose the k shards a decode reads.
 
     Every file's header is read and its payload size taken from the file
     system.  The consensus is the encoding (r, log2 k, original length)
     that most readable headers carry; a tie goes to the first file in
     path order.  A shard of another encoding, with the wrong payload
-    size, or repeating an index counts as missing.  Payloads are then
-    read for the k lowest-index usable shards only: every data shard
-    when all are present, else the data shards present and the lowest
-    parity shards.  Usable shards left unread are erasures to the
-    decoder, which stays within its n - k capacity.
+    size, or repeating an index counts as missing.  The k lowest-index
+    usable shards are then chosen: every data shard when all are
+    present, else the data shards present and the lowest parity shards.
+    Each is opened to check its header and size again, and one that
+    changed since its header was read is skipped, the next usable shard
+    taking its place.  Usable shards left unchosen are erasures to the
+    decoder, which stays within its n - k capacity.  No payload byte is
+    read here: a decode reads the chosen shards a window at a time with
+    Shard.read.
 
     Returns the consensus header (shard_index zeroed), a map from shard
-    index to its payload bytes (all usable shards when fewer than k),
-    and human-readable notes about files that were skipped.
+    index to its Shard for the chosen shards (all usable shards when
+    fewer than k), and human-readable notes about files that were
+    skipped.
     """
     headers: list[tuple[str, ShardHeader, int]] = []
     skipped: list[str] = []
@@ -230,21 +348,25 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, memoryview], l
         if not header.same_file(consensus):
             skipped.append(f"{path}: header disagrees with other shards")
             continue
-        expected = header.stripe_count * header.symbol_width
-        if size != expected:
-            skipped.append(f"{path}: payload is {size} bytes, expected {expected}")
+        if size != header.payload_size:
+            skipped.append(f"{path}: payload is {size} bytes, expected {header.payload_size}")
             continue
         if header.shard_index in usable:
             skipped.append(f"{path}: duplicate shard index {header.shard_index}")
             continue
-        usable[header.shard_index] = (path, header)
-    columns: dict[int, memoryview] = {}
+        usable[header.shard_index] = path, header
+    chosen: dict[int, Shard] = {}
     for index in sorted(usable):
-        if len(columns) == consensus.k:
+        if len(chosen) == consensus.k:
             break
-        path, header = usable[index]
+        shard = Shard(*usable[index])
         try:
-            columns[index] = _read_payload(path, header)
-        except (OSError, ShardFormatError) as exc:
-            skipped.append(f"{path}: {exc}")
-    return consensus, columns, skipped
+            shard.read(0, 0)  # an empty read checks the header and size
+        except ShardFormatError as exc:  # its message names the file
+            skipped.append(str(exc))
+            continue
+        except OSError as exc:
+            skipped.append(f"{shard.path}: {exc}")
+            continue
+        chosen[index] = shard
+    return consensus, chosen, skipped

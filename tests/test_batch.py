@@ -5,9 +5,9 @@ import pytest
 
 from binfec import batch
 from binfec.batch import BatchCodec, CodeParams, TooManyErasuresError
-from binfec.cli import _repair
+from binfec.cli import _codec, _repair
 from binfec.rs import ErasurePattern, decode, encode
-from binfec.shardfile import ShardHeader, bytes_to_stripes, stripes_to_bytes
+from binfec.shardfile import bytes_to_stripes, stripes_to_bytes
 from binfec.transform import _CHUNK, OpCounter
 
 from oracles import lagrange_eval
@@ -187,15 +187,14 @@ def test_batch_decode_of_parity_loss_does_no_field_arithmetic(bt8):
 
 
 def test_repair_r16_from_the_k_lowest_payloads(bt16):
-    # _repair's glue at r=16: little-endian two-byte payloads as read_shards
+    # _repair's glue at r=16: little-endian two-byte payloads as Shard.read
     # returns them, no shard files involved
     data = random.Random(88).randbytes(1000)
     k = 16
-    header = ShardHeader(r=16, log2_k=4, shard_index=0, original_length=len(data))
     enc = BatchCodec(CodeParams(16, k), bt16).encode(bytes_to_stripes(data, k, 16))
     known = [j for j in range(1 << 16) if j not in {3, 10, 11, 12}][:k]
     columns = {j: memoryview(enc[j].astype("<u2").tobytes()) for j in known}
-    rows = _repair(header, columns)
+    rows = _repair(_codec(16, k), columns)
     assert bytes(stripes_to_bytes(rows, 16, len(data))) == data
 
 

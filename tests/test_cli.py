@@ -1,5 +1,4 @@
 import collections
-import io
 import os
 import random
 import subprocess
@@ -48,17 +47,23 @@ def _python(code, *args):
 def shard_reads(monkeypatch):
     """Bytes read from each shard file, counted as the OS returns them."""
     reads = collections.Counter()
+    names = {}
 
-    class Counting(io.FileIO):
-        def read(self, size=-1):
-            data = super().read(size)
-            reads[os.path.basename(self.name)] += len(data)
+    class CountingOS:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        def open(self, path, flags, *args):
+            fd = os.open(path, flags, *args)
+            names[fd] = os.path.basename(path)
+            return fd
+
+        def pread(self, fd, size, offset):
+            data = os.pread(fd, size, offset)
+            reads[names[fd]] += len(data)
             return data
 
-    def counting_open(path, mode="r", buffering=-1):
-        return Counting(path, "rb") if mode == "rb" else open(path, mode, buffering)
-
-    monkeypatch.setattr(shardfile, "open", counting_open, raising=False)
+    monkeypatch.setattr(shardfile, "os", CountingOS())
     return reads
 
 

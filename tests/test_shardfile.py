@@ -83,6 +83,10 @@ def test_stripes_to_bytes_interleaves_block_by_block(monkeypatch):
             assert stripes_to_bytes([memoryview(row.tobytes()) for row in rows], r, cut) == want[:cut]
 
 
+def _payload(shard):
+    return shard.read(0, shard.header.payload_size)
+
+
 def test_write_and_read_shards_round_trip(tmp_path):
     rng = np.random.default_rng(91)
     header = _header(log2_k=2, original_length=12)  # k=4, 3 stripes
@@ -94,13 +98,13 @@ def test_write_and_read_shards_round_trip(tmp_path):
     assert consensus.same_file(header)
     assert set(columns) == set(range(4))  # the k data shards only
     for j in columns:
-        assert (np.frombuffer(columns[j], dtype=np.uint8) == codewords[j]).all()
+        assert (np.frombuffer(_payload(columns[j]), dtype=np.uint8) == codewords[j]).all()
     # with data shards missing, the lowest parity shards stand in
     _, columns, skipped = read_shards([paths[j] for j in (0, 17, 255, 3, 254)])
     assert skipped == []
     assert set(columns) == {0, 3, 17, 254}
     for j in columns:
-        assert (np.frombuffer(columns[j], dtype=np.uint8) == codewords[j]).all()
+        assert (np.frombuffer(_payload(columns[j]), dtype=np.uint8) == codewords[j]).all()
 
 
 def test_read_shards_skips_mismatched_headers(tmp_path):
@@ -172,7 +176,7 @@ def test_read_shards_replaces_a_shard_that_changes_after_its_header(tmp_path, mo
     _, columns, skipped = read_shards(paths)
     assert set(columns) == {0, 1, 3, 4}
     assert len(skipped) == 1 and "changed" in skipped[0]
-    assert bytes(columns[4]) == bytes(codewords[4].astype(np.uint8))
+    assert _payload(columns[4]) == bytes(codewords[4].astype(np.uint8))
 
 
 def test_read_shards_empty_dir():

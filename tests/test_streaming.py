@@ -1,0 +1,206 @@
+"""The CLI streams files a chunk at a time: chunks change no byte, memory stays flat."""
+
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+import binfec
+import binfec.batch as batch
+import binfec.shardfile as shardfile
+from binfec.batch import BatchCodec, CodeParams
+from binfec.cli import main
+from binfec.shardfile import HEADER_SIZE, ShardHeader, bytes_to_stripes, shard_filename
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(binfec.__file__)))
+ENV = dict(os.environ, PYTHONPATH=SRC)
+
+
+def _encode(src, outdir, r, k):
+    assert main(["encode", "--in", str(src), "--out", str(outdir),
+                 "--r", str(r), "--k", str(k)]) == 0
+
+
+def _decode(shards, out):
+    assert main(["decode", "--shards", str(shards), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _subset(outdir, dest, indices):
+    dest.mkdir()
+    for j in indices:
+        os.link(outdir / shard_filename(j), dest / shard_filename(j))
+    return dest
+
+
+@pytest.fixture
+def locator_calls(monkeypatch):
+    calls = []
+    original = batch.locator_values
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].size)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(batch, "locator_values", counting)
+    return calls
+
+
+# (r, k, chunk bytes): None keeps CHUNK_BYTES.  At r=16 each chunk
+# rewrites 65,536 files, so the chunk is made two stripes long.
+@pytest.mark.parametrize("r, k, chunk", [(8, 16, None), (8, 128, None), (16, 16, 64)])
+def test_chunk_boundaries_change_nothing(tmp_path, monkeypatch, locator_calls, bt8, bt16,
+                                         r, k, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(shardfile, "CHUNK_BYTES", chunk)
+    size_of_chunk = shardfile.CHUNK_BYTES
+    codec = BatchCodec(CodeParams(r, k), bt8 if r == 8 else bt16)
+    n, log2_k = 1 << r, k.bit_length() - 1
+    # r=8 compares every shard; r=16 the data shards and a spread of parity
+    compared = range(n) if r == 8 else [*range(k), *range(k, n, 251), n - 1]
+    lost = {1, k - 1}
+    repair_from = sorted(set(range(k)) - lost) + [k, k + 5]
+    rng = random.Random(120 + r + k)
+    shards = tmp_path / "shards"  # each encode overwrites the one before
+    for case, size in enumerate((0, 1, size_of_chunk - 1, size_of_chunk,
+                                 size_of_chunk + 1, 3 * size_of_chunk + 5)):
+        base = tmp_path / str(case)
+        base.mkdir()
+        data = rng.randbytes(size)
+        (base / "in.bin").write_bytes(data)
+        _encode(base / "in.bin", shards, r, k)
+
+        reference = codec.encode(bytes_to_stripes(data, k, r))
+        for j in compared:
+            header = ShardHeader(r, log2_k, j, size).pack()
+            raw = (shards / shard_filename(j)).read_bytes()
+            assert raw == header + reference[j].tobytes(), (size, j)
+        assert len(os.listdir(shards)) == n
+
+        healthy = _subset(shards, base / "data", range(k))
+        assert _decode(healthy, base / "healthy.bin") == data, size
+        assert locator_calls == []
+        repair = _subset(shards, base / "repair", repair_from)
+        assert _decode(repair, base / "repaired.bin") == data, size
+        # one locator per decode, however many chunks it repairs
+        assert len(locator_calls) == (1 if size else 0), size
+        locator_calls.clear()
+
+
+def test_encode_from_a_pipe(tmp_path):
+    size = 3 * shardfile.CHUNK_BYTES + 5
+    data = random.Random(121).randbytes(size)
+    (tmp_path / "in.bin").write_bytes(data)
+    _encode(tmp_path / "in.bin", tmp_path / "from_file", 8, 16)
+    proc = subprocess.run([sys.executable, "-m", "binfec.cli", "encode", "--in", "/dev/stdin",
+                           "--out", str(tmp_path / "from_pipe"), "--k", "16"],
+                          input=data, env=ENV, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for j in range(256):
+        name = shard_filename(j)
+        assert ((tmp_path / "from_pipe" / name).read_bytes()
+                == (tmp_path / "from_file" / name).read_bytes()), j
+    os.remove(tmp_path / "from_pipe" / shard_filename(4))
+    assert _decode(tmp_path / "from_pipe", tmp_path / "out.bin") == data
+
+
+def test_encode_refuses_a_directory_holding_other_shards(tmp_path, capsys):
+    # 65,280 shards of an r=16 encode would outvote the 256 of an r=8 one
+    a = random.Random(122).randbytes(1000)
+    b = random.Random(123).randbytes(1000)
+    (tmp_path / "a.bin").write_bytes(a)
+    (tmp_path / "b.bin").write_bytes(b)
+    shards = tmp_path / "st"
+    _encode(tmp_path / "a.bin", shards, 16, 16)
+    before = {p.name: (p.stat().st_mtime_ns, p.stat().st_size) for p in shards.iterdir()}
+    capsys.readouterr()
+    assert main(["encode", "--in", str(tmp_path / "b.bin"), "--out", str(shards),
+                 "--r", "8", "--k", "16"]) == 1
+    assert "65280 shard file(s) that this encode would not overwrite" in capsys.readouterr().err
+    assert {p.name: (p.stat().st_mtime_ns, p.stat().st_size)
+            for p in shards.iterdir()} == before
+
+    # shards that an encode overwrites are no obstacle, any other file is
+    r8 = tmp_path / "r8"
+    _encode(tmp_path / "a.bin", r8, 8, 16)
+    _encode(tmp_path / "b.bin", r8, 8, 16)
+    assert _decode(r8, tmp_path / "out.bin") == b
+    (r8 / "a-stale.lchs").write_bytes(b"")
+    capsys.readouterr()
+    assert main(["encode", "--in", str(tmp_path / "a.bin"), "--out", str(r8),
+                 "--r", "8", "--k", "16"]) == 1
+    assert f"such as {r8 / 'a-stale.lchs'}" in capsys.readouterr().err
+    assert _decode(r8, tmp_path / "out.bin") == b
+
+
+@pytest.mark.parametrize("previous", [None, b"an earlier output"])
+def test_failed_decode_leaves_no_partial_output(tmp_path, monkeypatch, capsys, previous):
+    monkeypatch.setattr(shardfile, "CHUNK_BYTES", 16 * 8)  # 8 stripes a chunk at k=16
+    data = random.Random(124).randbytes(16 * 40 + 5)  # 41 stripes: 6 chunks
+    (tmp_path / "in.bin").write_bytes(data)
+    _encode(tmp_path / "in.bin", tmp_path / "shards", 8, 16)
+    out = tmp_path / "out.bin"
+    if previous is not None:
+        out.write_bytes(previous)
+    victim = str(tmp_path / "shards" / shard_filename(2))
+    read = shardfile.Shard.read
+
+    def truncate_after_first_chunk(self, offset, size):
+        payload = read(self, offset, size)
+        if self.path == victim and size:
+            os.truncate(victim, HEADER_SIZE + size)
+        return payload
+
+    monkeypatch.setattr(shardfile.Shard, "read", truncate_after_first_chunk)
+    listing = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert main(["decode", "--shards", str(tmp_path / "shards"), "--out", str(out)]) == 1
+    assert f"error: {victim}: changed while being read" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == listing  # no temporary file left
+    assert (out.read_bytes() if out.exists() else None) == previous
+
+
+# Starts the command given in its argv and prints its exit code and
+# peak RSS.  Linux counts the peak RSS of a process that starts a child
+# into the child's ru_maxrss, so the starter is a fresh interpreter, not
+# this one with numpy and the test data loaded.
+_STARTER = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mib(*args) -> float:
+    proc = subprocess.run([sys.executable, "-c", _STARTER, sys.executable, "-m", "binfec.cli",
+                           *map(str, args)], env=ENV, capture_output=True, text=True,
+                          timeout=300)
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return kib / 1024
+
+
+def test_peak_memory_does_not_grow_with_the_file(tmp_path):
+    rng = random.Random(125)
+    peaks = {}
+    for mib in (16, 64):
+        src, shards, out = tmp_path / "in.bin", tmp_path / "shards", tmp_path / "out.bin"
+        with open(src, "wb") as fh:
+            for _ in range(mib):
+                fh.write(rng.randbytes(1 << 20))
+        encode = _peak_rss_mib("encode", "--in", src, "--out", shards, "--r", 8, "--k", 128)
+        for j in range(0, 128, 16):  # 8 data shards lost
+            os.remove(shards / shard_filename(j))
+        decode = _peak_rss_mib("decode", "--shards", shards, "--out", out)
+        with open(src, "rb") as a, open(out, "rb") as b:
+            while block := a.read(1 << 20):
+                assert b.read(1 << 20) == block
+        peaks[mib] = encode, decode
+        for path in (src, out, *shards.iterdir()):
+            os.remove(path)
+    (encode16, decode16), (encode64, decode64) = peaks[16], peaks[64]
+    assert abs(encode64 - encode16) <= 8, peaks
+    assert abs(decode64 - decode16) <= 8, peaks
