@@ -23,15 +23,20 @@ their one-column view, list in and list out.
 Symbols are SYMBOL_DTYPE[r]: uint8 at r=8, uint16 at r=16.  The
 kernels read the butterfly factors BasisTables.w_hat and the field
 tables FieldTables.arrays, read-only arrays each built once by the
-object that owns it.  Multiplying rows by constants takes one route
-per field width.  At r=8 a 256 x 256 product table turns the multiply
-into a gather at the flat index (f << 8) | v.  One gather covers as
-many whole rows as fit in a chunk, so the many short blocks of a
-one-column call cost a few calls per level, and a row wider than a
-chunk is gathered chunk by chunk, so the index buffer stays small.
-At r=16 a product table would not fit, so the multiply adds logs and
-looks the sum up in the exp table stored twice over, so no modular
-reduction is needed; zero operands are masked explicitly.
+object that owns it.  Multiplying rows by constants takes one of three
+routes, chosen by field width and row width.  At r=8 a row at least
+_PAIR_MIN symbols wide is multiplied two symbols per lookup: a
+65,536-entry uint16 table of its factor f times every symbol pair is
+built for that row alone, and the row is gathered through it as a
+uint16 view, chunk by chunk, so no table outlives its row (caching
+all 255 would take 32 MiB).  A narrower row, a strided one, and the
+last symbol of an odd-width one take the flat route: the 256 x 256
+product table gathered at the flat index (f << 8) | v, one gather
+covering as many whole rows as fit in a chunk, so the many short
+blocks of a one-column call cost a few calls per level.  At r=16 a
+product table would not fit, so the multiply adds logs and looks the
+sum up in the exp table stored twice over, so no modular reduction is
+needed; zero operands are masked explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
 additions and multiplications the kernels execute, level by level, so
@@ -51,9 +56,15 @@ import numpy as np
 from .basis import BasisTables
 from .field import SYMBOL_DTYPE, FieldTables
 
-# Symbols per table gather at r=8; numpy converts its indices to an
-# 8-byte-per-symbol buffer.
+# Indices per table gather at r=8; numpy converts its indices to an
+# 8-byte-per-index buffer.
 _CHUNK = 1 << 16
+
+# Narrowest r=8 row multiplied through its own pair table.  Building a
+# table costs about 25 us, so narrow rows lose: the two routes tie at
+# 32,768 symbols a row, the pair route is 1.3x slower at 16,384 and
+# about 1.2x faster from 40,960 up (2-core Xeon, numpy 2.4).
+_PAIR_MIN = 1 << 16
 
 
 @dataclass
@@ -139,10 +150,25 @@ def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
         out[(v == 0) | (factors == 0)[:, None]] = 0
         return out
     rows, width = v.shape
-    group = max(1, _CHUNK // max(width, 1))
+    paired = 0  # leading symbols of each row done through its pair table
+    if width >= _PAIR_MIN and v.strides[1] == 1:
+        paired = width & ~1
+        for b in range(rows):
+            # pair[(hi << 8) | lo] = f*hi << 8 | f*lo: symmetric in the two
+            # bytes, so right in either byte order of the uint16 views.
+            f = int(factors[b])
+            row = arrays.product[f << 8:(f + 1) << 8]
+            pair = ((row.astype(np.uint16) << 8)[:, None] | row).ravel()
+            v2 = v[b, :paired].view(np.uint16)
+            out2 = out[b, :paired].view(np.uint16)
+            for s in range(0, paired // 2, _CHUNK):
+                np.take(pair, v2[s:s + _CHUNK], out=out2[s:s + _CHUNK], mode="wrap")
+    # The flat gather takes the rest: every symbol of a narrow or strided
+    # row, and the last symbol of an odd-width paired one.
+    group = max(1, _CHUNK // max(width - paired, 1))
     high = factors.astype(np.uint16)[:, None] << 8
     for b in range(0, rows, group):
-        for s in range(0, width, _CHUNK):
+        for s in range(paired, width, _CHUNK):
             # For field symbols (f << 8) | v lies inside the 65,536-entry
             # table, so mode="wrap" changes no result; it gathers faster
             # than the default mode, which checks every index.

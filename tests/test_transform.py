@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from binfec import transform
 from binfec.basis import build_basis_tables
-from binfec.field import SYMBOL_DTYPE, tables_for
+from binfec.field import DEFAULT_POLY, SYMBOL_DTYPE, tables_for
 from binfec.transform import (
+    _CHUNK,
+    _PAIR_MIN,
     CoeffVec,
     EvalVec,
     OpCounter,
@@ -17,8 +20,10 @@ from binfec.transform import (
     forward_rows,
     inverse,
     inverse_rows,
+    mul_rows,
     poly_mul,
 )
+from oracles import clmul_reduce
 
 _FT8 = tables_for(8)
 _BT8 = build_basis_tables(_FT8, 256)
@@ -153,6 +158,70 @@ def test_counted_multiplications_are_the_kernels_work(mul_rows_work, bt8, bt16, 
                 kernel(bt, a, shift, ops)
                 assert ops.muls == sum(work) == (h // 2 * lg - drop) * 3, (h, shift)
                 assert ops.adds == (h * lg - drop) * 3
+
+
+def _oracle_mul_rows(r, v, factors):
+    # each row through its factor's bit-by-bit product row
+    out = np.empty_like(v)
+    for b, f in enumerate(factors.tolist()):
+        table = np.array([clmul_reduce(f, x, DEFAULT_POLY[r], r) for x in range(1 << r)],
+                         dtype=SYMBOL_DTYPE[r])
+        out[b] = table[v[b]]
+    return out
+
+
+def _r8_cases(rng):
+    """(name, rows view) pairs: each route, its edges, and awkward layouts."""
+    def rows(width, n=3):
+        return rng.integers(0, 256, (n, width), dtype=np.uint8)
+    cases = [(f"width {w}", rows(w)) for w in (
+        0, 1, 257, _PAIR_MIN - 2, _PAIR_MIN - 1, _PAIR_MIN, _PAIR_MIN + 1,
+        2 * _CHUNK + 2, 2 * _CHUNK + 5)]  # the last two: several pair gathers a row
+    cases.append(("no rows", rows(_PAIR_MIN, n=0)))
+    cases.append(("zero symbols", np.zeros((3, _PAIR_MIN + 1), dtype=np.uint8)))
+    wide = rows(2 * _PAIR_MIN + 2)
+    cases.append(("strided rows", wide[:, ::2]))
+    cases.append(("rows at odd byte offsets", wide[:, 1:_PAIR_MIN + 1]))
+    flat = rng.integers(0, 256, 3 * _PAIR_MIN + 1, dtype=np.uint8)
+    cases.append(("contiguous rows at odd byte offsets", flat[1:].reshape(3, _PAIR_MIN)))
+    return cases
+
+
+def test_mul_rows_r8_matches_the_oracle(ft8):
+    rng = np.random.default_rng(13)
+    for name, v in _r8_cases(rng):
+        before = v.copy()
+        factors = np.array([0, 1, rng.integers(2, 256)], dtype=np.uint8)[:len(v)]
+        got = mul_rows(ft8, v, factors)
+        assert got.shape == v.shape and got.dtype == np.uint8, name
+        assert (got == _oracle_mul_rows(8, v, factors)).all(), name
+        assert (v == before).all(), name
+
+
+def test_mul_rows_r16_matches_the_oracle(ft16):
+    rng = np.random.default_rng(16)
+    v = rng.integers(0, 1 << 16, (4, 300), dtype=np.uint16)
+    v[:, :3] = [0, 1, 0xFFFF]
+    factors = np.array([0, 1, 2, 0xA5C3], dtype=np.uint16)
+    assert (mul_rows(ft16, v, factors) == _oracle_mul_rows(16, v, factors)).all()
+
+
+def test_mul_rows_r8_holds_one_pair_table_at_a_time(ft8):
+    # Its output plus about 1 MiB: room for one 128 KiB pair table and one
+    # gather's index buffer, not for a table kept per factor.
+    rng = np.random.default_rng(8)
+    v = rng.integers(0, 256, (8, 262_144), dtype=np.uint8)
+    factors = rng.choice(np.arange(1, 256, dtype=np.uint8), 8, replace=False)
+    tracemalloc.start()
+    try:
+        out = mul_rows(ft8, v, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+        del out
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert v.nbytes <= peak <= v.nbytes + (1 << 20)
+    assert kept < 1 << 16  # no table outlives the call
 
 
 def test_degree(bt8):
