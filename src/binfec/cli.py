@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import glob
 import os
 import sys
 
-from .basis import build_basis_tables
 from .field import tables_for
 from .shardfile import (
     InsufficientShardsError,
@@ -44,17 +42,25 @@ from .shardfile import (
     stripes_to_bytes,
 )
 
-# This module and the ones above import no numpy: a decode that finds
-# every data shard only interleaves their payloads.  Encode, the repair
-# decode, selftest and bench import numpy and the codec when they run.
+# This module and the ones above import no numpy and no dataclasses: a
+# decode that finds every data shard only interleaves their payloads, so
+# it loads cli, shardfile and field only.  Encode, the repair decode,
+# selftest and bench import numpy, the basis and the codec when they run.
 
 
 def _shard_paths(folder: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(glob.escape(folder), "*" + SHARD_SUFFIX)))
+    """The *.lchs files in folder, sorted, skipping hidden names as a glob does."""
+    try:
+        names = os.listdir(folder)
+    except OSError:  # missing, or not a directory
+        return []
+    return sorted(os.path.join(folder, name) for name in names
+                  if name.endswith(SHARD_SUFFIX) and not name.startswith("."))
 
 
 def _codec(r: int, k: int):
     """The codec of an (n = 2^r, k) code, its tables built."""
+    from .basis import build_basis_tables
     from .batch import BatchCodec, CodeParams
 
     cp = CodeParams(r, k)

@@ -32,7 +32,9 @@ files stays one however large n is.
 
 Reading and reassembly need no numpy: a decode that finds every data
 shard only interleaves their payloads.  numpy is imported by the
-functions that build or take arrays, when they are first called.
+functions that build or take arrays, when they are first called.  A
+healthy decode loads this module, so it imports only field and light
+stdlib modules: no dataclasses, which brings inspect.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import DEFAULT_POLY, SYMBOL_DTYPE
 
@@ -60,8 +62,9 @@ class InsufficientShardsError(RuntimeError):
     """Fewer usable shards than the k required for reconstruction."""
 
 
-@dataclass(frozen=True)
-class ShardHeader:
+class ShardHeader(NamedTuple):
+    """A shard file's header fields; immutable, equal and hashed by value."""
+
     r: int
     log2_k: int
     shard_index: int
@@ -340,8 +343,10 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
             skipped.append(f"{path}: {exc}")
     if not headers:
         raise InsufficientShardsError("no readable shard files found")
-    # most_common keeps first-seen order among equal counts
-    r, log2_k, length = Counter(h.encoding for _, h, _ in headers).most_common(1)[0][0]
+    counts = Counter(h.encoding for _, h, _ in headers)
+    # max returns the first of equal counts, and a Counter keeps first-seen
+    # order; most_common(1) would do the same but imports heapq
+    r, log2_k, length = max(counts, key=counts.get)
     consensus = ShardHeader(r, log2_k, 0, length)
     usable: dict[int, tuple[str, ShardHeader]] = {}
     for path, header, size in headers:

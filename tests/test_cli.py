@@ -67,19 +67,49 @@ def shard_reads(monkeypatch):
     return reads
 
 
-def test_healthy_decode_imports_no_numpy(tmp_path):
+# Modules a healthy decode must not be the first to import: numpy, the
+# dataclasses machinery, heapq (Counter.most_common's), and the codec.
+HEALTHY_DECODE_DENIED = {
+    "numpy", "dataclasses", "inspect", "heapq",
+    "binfec.basis", "binfec.batch", "binfec.transform", "binfec.derivative",
+    "binfec.walsh", "binfec.rs",
+}
+
+
+def test_healthy_decode_imports_only_what_it_runs(tmp_path):
     data = random.Random(108).randbytes(3000)
     outdir = _encode(tmp_path, data, k=16)
     for idx in range(16, 256, 3):
         os.remove(outdir / shard_filename(idx))
     out = tmp_path / "out.bin"
-    code = ("import sys\n"
-            "from binfec.cli import main\n"
-            "assert main(sys.argv[1:]) == 0\n"
-            "print('numpy' in sys.modules)\n")
+    # the entry point of `python -m binfec.cli`; only modules that are new
+    # after the snapshot count, so whatever site preloads is not blamed
+    code = ("import runpy, sys\n"
+            "before = set(sys.modules)\n"
+            "try:\n"
+            "    runpy.run_module('binfec.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
     stdout = _python(code, "decode", "--shards", outdir, "--out", out)
-    assert stdout.splitlines()[-1] == "False"
+    new = set(stdout.splitlines()[-1].split())
+    assert sorted(m for m in new if m in HEALTHY_DECODE_DENIED or m.startswith("numpy.")) == []
+    assert {m for m in new if m.startswith("binfec")} == {
+        "binfec", "binfec.shardfile", "binfec.field"}  # binfec.cli runs as __main__
     assert out.read_bytes() == data
+
+
+def test_shard_paths_lists_visible_shard_files_sorted(tmp_path):
+    from binfec.cli import _shard_paths
+
+    folder = tmp_path / "odd [name]*"  # no pattern characters take effect
+    folder.mkdir()
+    for name in ("shard-00002.lchs", "a.lchs", ".hidden.lchs", "notes.txt", "x.lchs.tmp"):
+        (folder / name).write_bytes(b"")
+    assert _shard_paths(str(folder)) == [str(folder / "a.lchs"),
+                                         str(folder / "shard-00002.lchs")]
+    assert _shard_paths(str(tmp_path / "missing")) == []
+    assert _shard_paths(str(folder / "notes.txt")) == []
 
 
 def test_healthy_decode_reads_no_parity_payload(tmp_path, shard_reads):

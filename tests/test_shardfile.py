@@ -30,6 +30,26 @@ def test_header_pack_unpack_round_trip():
     assert ShardHeader.unpack(raw) == h
 
 
+def test_header_is_an_immutable_value():
+    fields = dict(r=16, log2_k=5, shard_index=7, original_length=123_456)
+    h = ShardHeader(**fields)
+    with pytest.raises(AttributeError):
+        h.shard_index = 8
+    with pytest.raises(AttributeError):
+        h.note = "not a field"
+    assert h.shard_index == 7
+    # equal, and hashed alike, exactly when all four fields are
+    same = ShardHeader(**fields)
+    assert same == h and hash(same) == hash(h) and {h: "found"}[same] == "found"
+    for name in fields:
+        assert ShardHeader(**{**fields, name: fields[name] + 1}) != h, name
+    moved = h.with_index(9)
+    assert moved == ShardHeader(**{**fields, "shard_index": 9}) and h.shard_index == 7
+    for header in (h, moved):
+        assert ShardHeader.unpack(header.pack()) == header
+    assert (h.k, h.n, h.symbol_width, h.encoding) == (32, 1 << 16, 2, (16, 5, 123_456))
+
+
 def test_header_rejects_garbage():
     with pytest.raises(ShardFormatError):
         ShardHeader.unpack(b"nope" + b"\0" * 17)
