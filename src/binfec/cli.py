@@ -69,10 +69,11 @@ def _codec(r: int, k: int):
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     r, k = args.r, args.k
-    codec = _codec(r, k)
-    n = codec.cp.n
-    if k >= n:  # a shard header holds log2(k) below r
+    n = 1 << r
+    # a shard header holds log2(k) below r; checked before _codec builds tables
+    if k >= n:
         raise ValueError(f"k must be below n={n}, got {k}")
+    codec = _codec(r, k)
     own = {shard_filename(j) for j in range(n)}
     stale = [p for p in _shard_paths(args.outdir) if os.path.basename(p) not in own]
     if stale:

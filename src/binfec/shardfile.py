@@ -24,11 +24,13 @@ transpose of its k data rows, and writing or reading a shard moves one
 row.
 
 Files are read and written one chunk of about CHUNK_BYTES of file
-bytes at a time: read_chunks reads the input into reused buffers,
-append_shards writes each chunk's rows at their offset in every shard,
-and Shard.read reads one window of a shard's payload.  A shard file is
-opened for one chunk's access and closed again, so the number of open
-files stays one however large n is.
+bytes at a time: read_chunks reads the input into one reused buffer,
+append_shards, the one writer, writes each chunk's rows at their
+offset in every shard, and Shard.read reads one window of a shard's
+payload.  A shard file is opened for one chunk's access and closed
+again, so the number of open files stays one however large n is.
+Every open is non-blocking, so a FIFO at a shard's name fails at once:
+a decode skips it with a note and an encode stops with an error.
 
 Reading and reassembly need no numpy: a decode that finds every data
 shard only interleaves their payloads.  numpy is imported by the
@@ -99,10 +101,6 @@ class ShardHeader(NamedTuple):
     def encoding(self) -> tuple[int, int, int]:
         """The fields that every shard of one encoding shares."""
         return self.r, self.log2_k, self.original_length
-
-    def same_file(self, other: "ShardHeader") -> bool:
-        """True when two headers describe shards of the same encoding."""
-        return self.encoding == other.encoding
 
     def pack(self) -> bytes:
         return _HEADER.pack(MAGIC, VERSION, self.r, self.log2_k,
@@ -197,10 +195,8 @@ def chunk_stripes(k: int, r: int) -> int:
 def _fill(fh, buf: bytearray) -> int:
     """Read fh into buf until buf is full or fh ends; the bytes read."""
     view, got = memoryview(buf), 0
-    while got < len(buf):
-        size = fh.readinto(view[got:])  # a pipe returns what it holds
-        if not size:
-            break
+    # an interactive stream may return a short read before its end
+    while got < len(buf) and (size := fh.readinto(view[got:])):
         got += size
     return got
 
@@ -210,26 +206,24 @@ def read_chunks(fh, k: int, r: int):
 
     chunk is a memoryview of chunk_stripes(k, r) whole stripes or
     fewer, the last stripe zero-padded; it is valid until the next
-    chunk is asked for, as two buffers are reused throughout.  length
-    is None until the last chunk, which carries the number of bytes
-    read in all: each chunk is read before the one ahead of it is
-    yielded, so a file whose length is not known in advance, such as a
-    pipe, still ends with its length.  An empty file gives one empty
-    chunk.
+    chunk is asked for, as one buffer is reused throughout.  length is
+    None until the last chunk, which carries the number of bytes read
+    in all.  fh is a BufferedReader: after a full chunk fh.peek(1)
+    waits for the next byte or the end, so a file whose length is not
+    known in advance, such as a pipe, still ends with its length.  An
+    empty file gives one empty chunk.
     """
     stripe_bytes = k * (r // 8)
-    size = chunk_stripes(k, r) * stripe_bytes
-    this, ahead = bytearray(size), bytearray(size)
-    got, total = _fill(fh, this), 0
+    buf, total = bytearray(chunk_stripes(k, r) * stripe_bytes), 0
     while True:
+        got = _fill(fh, buf)
         total += got
-        ahead_got = _fill(fh, ahead) if got == size else 0
+        last = got < len(buf) or not fh.peek(1)
         stop = -(-got // stripe_bytes) * stripe_bytes
-        this[got:stop] = bytes(stop - got)
-        yield memoryview(this)[:stop], None if ahead_got else total
-        if not ahead_got:
+        buf[got:stop] = bytes(stop - got)
+        yield memoryview(buf)[:stop], total if last else None
+        if last:
             return
-        this, ahead, got = ahead, this, ahead_got
 
 
 def _pwrite(fd: int, data, offset: int) -> None:
@@ -252,7 +246,7 @@ def append_shards(outdir: str, codewords, offset: int,
     unreadable, not wrong.  Each file is opened for its row only, so
     one shard at most is open at a time (n reaches 65,536).
     """
-    flags = os.O_WRONLY | (os.O_CREAT | os.O_TRUNC if offset == 0 else 0)
+    flags = os.O_WRONLY | os.O_NONBLOCK | (os.O_CREAT | os.O_TRUNC if offset == 0 else 0)
     for j, row in enumerate(codewords):
         fd = os.open(os.path.join(outdir, shard_filename(j)), flags, 0o666)
         try:
@@ -263,23 +257,22 @@ def append_shards(outdir: str, codewords, offset: int,
             os.close(fd)
 
 
-def write_shards(outdir: str, header: ShardHeader, codewords) -> list[str]:
-    """Write one shard file per row of (n x stripes) codewords; returns the paths."""
-    import numpy as np
+def _probe(path: str, offset: int = 0, size: int = 0) -> tuple[bytes, int, bytes]:
+    """A file's header bytes, its size and payload bytes [offset, offset + size).
 
-    os.makedirs(outdir, exist_ok=True)
-    append_shards(outdir, np.ascontiguousarray(codewords, dtype=SYMBOL_DTYPE[header.r]),
-                  0, header)
-    return [os.path.join(outdir, shard_filename(j)) for j in range(len(codewords))]
+    O_NONBLOCK keeps a FIFO's open from waiting for a writer; pread then fails.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        return (os.pread(fd, HEADER_SIZE, 0), os.fstat(fd).st_size,
+                os.pread(fd, size, HEADER_SIZE + offset) if size else b"")
+    finally:
+        os.close(fd)
 
 
 def _read_header(path: str) -> tuple[ShardHeader, int]:
     """A shard file's header and payload size, reading only the header."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        raw, size = os.pread(fd, HEADER_SIZE, 0), os.fstat(fd).st_size
-    finally:
-        os.close(fd)
+    raw, size, _ = _probe(path)
     return ShardHeader.unpack(raw), size - HEADER_SIZE
 
 
@@ -297,17 +290,12 @@ class Shard:
 
         The file is opened for this read only, so a decode holds no
         shard open between reads, and its header bytes and size are
-        checked again first: a shard that changed since its header was
+        checked again with it: a shard that changed since its header was
         read, or that ends before the window does, raises
         ShardFormatError.
         """
-        fd = os.open(self.path, os.O_RDONLY)
-        try:
-            found = os.pread(fd, HEADER_SIZE, 0), os.fstat(fd).st_size
-            data = os.pread(fd, size, HEADER_SIZE + offset) if found == self._expected else b""
-        finally:
-            os.close(fd)
-        if len(data) != size or found != self._expected:
+        raw, file_size, data = _probe(self.path, offset, size)
+        if len(data) != size or (raw, file_size) != self._expected:
             raise ShardFormatError(f"{self.path}: changed while being read")
         return data
 
@@ -350,7 +338,7 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
     consensus = ShardHeader(r, log2_k, 0, length)
     usable: dict[int, tuple[str, ShardHeader]] = {}
     for path, header, size in headers:
-        if not header.same_file(consensus):
+        if header.encoding != consensus.encoding:
             skipped.append(f"{path}: header disagrees with other shards")
             continue
         if size != header.payload_size:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import binfec
+import binfec.cli as cli
 import binfec.shardfile as shardfile
 from binfec.cli import main
 from binfec.rs import CodeParams, encode
@@ -264,8 +265,10 @@ def test_encode_rejects_bad_k(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
-def test_encode_rejects_k_equal_to_n(tmp_path, capsys):
-    # a header stores log2(k) below r, so k = n could never be decoded
+def test_encode_rejects_k_equal_to_n(tmp_path, capsys, monkeypatch):
+    # a header stores log2(k) below r, so k = n could never be decoded;
+    # the check comes before the codec's tables are built
+    monkeypatch.setattr(cli, "_codec", None)
     src = tmp_path / "input.bin"
     src.write_bytes(b"hello")
     outdir = tmp_path / "s"

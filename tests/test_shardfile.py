@@ -9,11 +9,11 @@ from binfec.shardfile import (
     InsufficientShardsError,
     ShardFormatError,
     ShardHeader,
+    append_shards,
     bytes_to_stripes,
     read_shards,
     shard_filename,
     stripes_to_bytes,
-    write_shards,
 )
 
 
@@ -107,15 +107,23 @@ def _payload(shard):
     return shard.read(0, shard.header.payload_size)
 
 
+def _write_shards(outdir, header, codewords):
+    """Shard files holding the rows of (n x stripes) codewords, in one chunk; their paths."""
+    assert codewords.dtype == SYMBOL_DTYPE[header.r]  # append_shards writes rows as stored
+    os.makedirs(outdir, exist_ok=True)
+    append_shards(outdir, codewords, 0, header)
+    return [os.path.join(outdir, shard_filename(j)) for j in range(len(codewords))]
+
+
 def test_write_and_read_shards_round_trip(tmp_path):
     rng = np.random.default_rng(91)
     header = _header(log2_k=2, original_length=12)  # k=4, 3 stripes
-    codewords = rng.integers(0, 256, (256, 3), dtype=np.uint16)
-    paths = write_shards(str(tmp_path), header, codewords)
+    codewords = rng.integers(0, 256, (256, 3), dtype=np.uint8)
+    paths = _write_shards(str(tmp_path), header, codewords)
     assert len(paths) == 256
     consensus, columns, skipped = read_shards(paths)
     assert skipped == []
-    assert consensus.same_file(header)
+    assert consensus.encoding == header.encoding
     assert set(columns) == set(range(4))  # the k data shards only
     for j in columns:
         assert (np.frombuffer(_payload(columns[j]), dtype=np.uint8) == codewords[j]).all()
@@ -129,8 +137,8 @@ def test_write_and_read_shards_round_trip(tmp_path):
 
 def test_read_shards_skips_mismatched_headers(tmp_path):
     header = _header(log2_k=2, original_length=12)
-    codewords = np.zeros((256, 3), dtype=np.uint16)
-    paths = write_shards(str(tmp_path), header, codewords)
+    codewords = np.zeros((256, 3), dtype=np.uint8)
+    paths = _write_shards(str(tmp_path), header, codewords)
     # rewrite one shard with a different geometry: treated as missing
     alien = _header(log2_k=3, original_length=12, shard_index=7)
     with open(paths[7], "wb") as fh:
@@ -145,8 +153,8 @@ def test_header_with_another_polynomial_is_foreign(tmp_path):
     raw = _header(log2_k=2, original_length=12).pack()[:17] + (0x11B).to_bytes(4, "little")
     with pytest.raises(ShardFormatError, match="0x11b"):
         ShardHeader.unpack(raw)
-    paths = write_shards(str(tmp_path), _header(log2_k=2, original_length=12),
-                         np.zeros((256, 3), dtype=np.uint16))
+    paths = _write_shards(str(tmp_path), _header(log2_k=2, original_length=12),
+                          np.zeros((256, 3), dtype=np.uint8))
     with open(paths[1], "wb") as fh:
         fh.write(raw + b"\0" * 3)
     _, columns, skipped = read_shards(paths)
@@ -156,22 +164,22 @@ def test_header_with_another_polynomial_is_foreign(tmp_path):
 
 def test_read_shards_consensus_is_the_majority(tmp_path):
     header = _header(log2_k=2, original_length=12)
-    paths = write_shards(str(tmp_path / "a"), header, np.zeros((256, 3), dtype=np.uint16))
+    paths = _write_shards(str(tmp_path / "a"), header, np.zeros((256, 3), dtype=np.uint8))
     # two foreign shards that sort first, outvoted by the 256 genuine ones
-    foreign = write_shards(str(tmp_path / "0"), _header(log2_k=3, original_length=40),
-                           np.zeros((256, 2), dtype=np.uint16))[:2]
+    foreign = _write_shards(str(tmp_path / "0"), _header(log2_k=3, original_length=40),
+                            np.zeros((256, 2), dtype=np.uint8))[:2]
     consensus, columns, skipped = read_shards(foreign + paths)
     assert consensus == header
     assert set(columns) == set(range(4))
     assert [note.split(":")[0] for note in skipped] == foreign
     # a tie goes to the first file in path order
     consensus, _, _ = read_shards(foreign + paths[:2])
-    assert consensus.same_file(_header(log2_k=3, original_length=40))
+    assert consensus.encoding == _header(log2_k=3, original_length=40).encoding
 
 
 def test_read_shards_skips_short_payloads(tmp_path):
     header = _header(log2_k=2, original_length=12)
-    paths = write_shards(str(tmp_path), header, np.zeros((256, 3), dtype=np.uint16))
+    paths = _write_shards(str(tmp_path), header, np.zeros((256, 3), dtype=np.uint8))
     with open(paths[3], "ab") as fh:
         fh.write(b"\0")  # payload now one byte too long
     _, columns, skipped = read_shards(paths)
@@ -182,8 +190,8 @@ def test_read_shards_replaces_a_shard_that_changes_after_its_header(tmp_path, mo
     import binfec.shardfile as shardfile
 
     header = _header(log2_k=2, original_length=12)
-    codewords = np.arange(256 * 3).reshape(256, 3) % 251
-    paths = write_shards(str(tmp_path), header, codewords)
+    codewords = (np.arange(256 * 3).reshape(256, 3) % 251).astype(np.uint8)
+    paths = _write_shards(str(tmp_path), header, codewords)
     read_header = shardfile._read_header
 
     def then_truncate(path):
@@ -196,7 +204,7 @@ def test_read_shards_replaces_a_shard_that_changes_after_its_header(tmp_path, mo
     _, columns, skipped = read_shards(paths)
     assert set(columns) == {0, 1, 3, 4}
     assert len(skipped) == 1 and "changed" in skipped[0]
-    assert _payload(columns[4]) == bytes(codewords[4].astype(np.uint8))
+    assert _payload(columns[4]) == codewords[4].tobytes()
 
 
 def test_read_shards_empty_dir():

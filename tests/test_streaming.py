@@ -1,5 +1,6 @@
 """The CLI streams files a chunk at a time: chunks change no byte, memory stays flat."""
 
+import io
 import os
 import random
 import subprocess
@@ -104,6 +105,81 @@ def test_encode_from_a_pipe(tmp_path):
                 == (tmp_path / "from_file" / name).read_bytes()), j
     os.remove(tmp_path / "from_pipe" / shard_filename(4))
     assert _decode(tmp_path / "from_pipe", tmp_path / "out.bin") == data
+
+
+class _Trickle(io.RawIOBase):
+    """A terminal-like raw stream that returns at most 7 bytes a read."""
+
+    def __init__(self, data):
+        self._data, self._at = data, 0
+
+    def readable(self):
+        return True
+
+    def isatty(self):
+        return True
+
+    def readinto(self, buf):
+        part = self._data[self._at:self._at + min(7, len(buf))]
+        buf[:len(part)] = part
+        self._at += len(part)
+        return len(part)
+
+
+@pytest.mark.parametrize("r, k", [(8, 4), (16, 2)])
+def test_read_chunks_from_a_stream_of_short_reads(monkeypatch, r, k):
+    # BufferedIOBase promises at most one raw read a call on an
+    # interactive stream, so a short read must not end a chunk early
+    monkeypatch.setattr(shardfile, "CHUNK_BYTES", 42)  # 10 stripes of 4 bytes
+    stripe = k * (r // 8)
+    chunk = shardfile.chunk_stripes(k, r) * stripe
+    assert chunk == 40
+    rng = random.Random(126)
+    for size in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk):
+        data = rng.randbytes(size)
+        fh = io.BufferedReader(_Trickle(data), buffer_size=16)
+        # copies: read_chunks reuses its buffer
+        got = [(bytes(c), length) for c, length in shardfile.read_chunks(fh, k, r)]
+        assert len(got) == max(1, -(-size // chunk)), size
+        assert all(len(c) % stripe == 0 and len(c) <= chunk for c, _ in got), size
+        assert [length for _, length in got[:-1]] == [None] * (len(got) - 1), size
+        assert got[-1][1] == size
+        joined = b"".join(c for c, _ in got)
+        assert joined[:size] == data and joined[size:] == bytes(len(joined) - size), size
+
+
+def _cli(*args):
+    """Run the CLI in a child process, killed if it outlasts the timeout."""
+    return subprocess.run([sys.executable, "-m", "binfec.cli", *map(str, args)], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_decode_skips_fifos_among_the_shards(tmp_path):
+    data = random.Random(127).randbytes(5000)
+    (tmp_path / "in.bin").write_bytes(data)
+    shards = tmp_path / "shards"
+    _encode(tmp_path / "in.bin", shards, 8, 16)
+    # a stray FIFO, and one in place of a data shard, which is repaired
+    fifos = [shards / "a-stray.lchs", shards / shard_filename(3)]
+    os.remove(fifos[1])
+    for fifo in fifos:
+        os.mkfifo(fifo)
+    proc = _cli("decode", "--shards", shards, "--out", tmp_path / "out.bin")
+    assert proc.returncode == 0, proc.stderr
+    for fifo in fifos:
+        assert f"warning: skipping {fifo}: " in proc.stderr
+    assert (tmp_path / "out.bin").read_bytes() == data
+
+
+def test_encode_stops_at_a_fifo_at_a_shard_name(tmp_path):
+    (tmp_path / "in.bin").write_bytes(random.Random(128).randbytes(5000))
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    fifo = shards / shard_filename(3)
+    os.mkfifo(fifo)
+    proc = _cli("encode", "--in", tmp_path / "in.bin", "--out", shards, "--k", "16")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and str(fifo) in proc.stderr, proc.stderr
 
 
 def test_encode_refuses_a_directory_holding_other_shards(tmp_path, capsys):
