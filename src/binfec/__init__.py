@@ -15,10 +15,11 @@ import importlib
 # no numpy until a name that needs it is used.
 _EXPORTS = {
     "basis": ["BasisTables", "build_basis_tables"],
-    "batch": ["CodeParams", "TooManyErasuresError"],
+    "batch": ["TooManyErasuresError"],
     "derivative": ["derivative_direct", "derivative_fast"],
     "field": ["DEFAULT_POLY", "FieldTables", "SYMBOL_DTYPE", "tables_for"],
     "rs": ["Codeword", "ErasurePattern", "decode", "encode"],
+    "shardfile": ["CodeParams"],
     "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward", "inverse",
                   "poly_mul"],
     "walsh": ["fwht", "locator_values"],

@@ -27,43 +27,26 @@ F'hat(j) / locator'(j): O(h lg h) total, n lg n at most.
 
 Every step is a row kernel of binfec.transform or binfec.derivative.
 This is the only copy of the pipeline: binfec.rs.encode and decode are
-its one-column view.
+its one-column view.  CodeParams (re-exported) is binfec.shardfile's,
+the one geometry value that the shard header and the CLI take too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisTables
 from .derivative import derivative_rows
 from .field import SYMBOL_DTYPE
+from .shardfile import CodeParams
 from .transform import OpCounter, forward_rows, inverse_rows, mul_rows, symbols
 from .walsh import locator_values
 
 
 class TooManyErasuresError(ValueError):
     """More erasures than the code can repair (above n - k)."""
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Code geometry: n = 2^r total symbols, k of them message symbols."""
-
-    r: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.k & (self.k - 1):
-            raise ValueError(f"k must be a power of two, got {self.k}")
-        if self.k > self.n:
-            raise ValueError(f"k={self.k} exceeds code length n={self.n}")
-
-    @property
-    def n(self) -> int:
-        return 1 << self.r
 
 
 class BatchCodec:

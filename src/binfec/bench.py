@@ -53,10 +53,9 @@ def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
     codec = BatchCodec(cp, build_basis_tables(tables_for(r), n))
     rng = random.Random(seed)
 
-    stripe_bytes = k * (r // 8)
     if size is None:
-        size = stripe_bytes
-    stripes = max(1, -(-size // stripe_bytes))
+        size = cp.stripe_bytes
+    stripes = max(1, -(-size // cp.stripe_bytes))
     messages = np.array([[rng.randrange(n) for _ in range(k)] for _ in range(stripes)],
                         dtype=codec.dtype).T
 

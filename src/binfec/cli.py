@@ -29,13 +29,13 @@ import sys
 
 from .field import tables_for
 from .shardfile import (
+    CodeParams,
     InsufficientShardsError,
     SHARD_SUFFIX,
     ShardFormatError,
     ShardHeader,
     append_shards,
     bytes_to_stripes,
-    chunk_stripes,
     read_chunks,
     read_shards,
     shard_filename,
@@ -58,23 +58,22 @@ def _shard_paths(folder: str) -> list[str]:
                   if name.endswith(SHARD_SUFFIX) and not name.startswith("."))
 
 
-def _codec(r: int, k: int):
+def _codec(code: CodeParams):
     """The codec of an (n = 2^r, k) code, its tables built."""
     from .basis import build_basis_tables
-    from .batch import BatchCodec, CodeParams
+    from .batch import BatchCodec
 
-    cp = CodeParams(r, k)
-    return BatchCodec(cp, build_basis_tables(tables_for(r), cp.n))
+    return BatchCodec(code, build_basis_tables(tables_for(code.r), code.n))
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    r, k = args.r, args.k
-    n = 1 << r
-    # a shard header holds log2(k) below r; checked before _codec builds tables
-    if k >= n:
-        raise ValueError(f"k must be below n={n}, got {k}")
-    codec = _codec(r, k)
-    own = {shard_filename(j) for j in range(n)}
+    # the geometry is checked before _codec imports numpy and builds tables
+    code = CodeParams(args.r, args.k)
+    # a shard header holds log2(k) below r
+    if code.k >= code.n:
+        raise ValueError(f"k must be below n={code.n}, got {code.k}")
+    codec = _codec(code)
+    own = {shard_filename(j) for j in range(code.n)}
     stale = [p for p in _shard_paths(args.outdir) if os.path.basename(p) not in own]
     if stale:
         raise ValueError(f"{args.outdir} holds {len(stale)} shard file(s) that this encode "
@@ -84,14 +83,14 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     offset = 0  # payload bytes in each shard so far
     with open(args.input, "rb") as fh:
         os.makedirs(args.outdir, exist_ok=True)
-        for chunk, length in read_chunks(fh, k, r):
-            header = None if length is None else ShardHeader(r, k.bit_length() - 1, 0, length)
+        for chunk, length in read_chunks(fh, code):
+            header = None if length is None else ShardHeader(code, 0, length)
             # no name keeps a chunk's codewords, n/k chunks' worth, alive
             # while the next chunk's are built
-            append_shards(args.outdir, codec.encode(bytes_to_stripes(chunk, k, r)),
+            append_shards(args.outdir, codec.encode(bytes_to_stripes(chunk, code)),
                           offset, header)
-            offset += len(chunk) // k
-    print(f"wrote {n} shards ({offset // (r // 8)} stripes, k={k}, n={n}) "
+            offset += len(chunk) // code.k
+    print(f"wrote {code.n} shards ({offset // code.width} stripes, k={code.k}, n={code.n}) "
           f"to {args.outdir}")
     return 0
 
@@ -124,21 +123,21 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     for note in skipped:
         print(f"warning: skipping {note}", file=sys.stderr)
 
-    k, width = header.k, header.symbol_width
-    if len(shards) < k:
+    code = header.code
+    if len(shards) < code.k:
         raise InsufficientShardsError(
-            f"have {len(shards)} usable shards, need at least {k}")
+            f"have {len(shards)} usable shards, need at least {code.k}")
 
     # systematic when every data shard is present: no field arithmetic
-    codec = None if all(j in shards for j in range(k)) else _codec(header.r, k)
-    step = chunk_stripes(k, header.r)
+    codec = None if all(j in shards for j in range(code.k)) else _codec(code)
+    step, width = code.chunk_stripes, code.width
     with _replacing(args.output) as out:
         for start in range(0, header.stripe_count, step):
             window = start * width, min(step, header.stripe_count - start) * width
             columns = {j: shard.read(*window) for j, shard in shards.items()}
             rows = list(columns.values()) if codec is None else _repair(codec, columns)
-            out.write(stripes_to_bytes(rows, header.r,
-                                       header.original_length - start * k * width))
+            out.write(stripes_to_bytes(rows, code.r,
+                                       header.original_length - start * code.stripe_bytes))
     print(f"reconstructed {header.original_length} bytes from {len(shards)} shards "
           f"to {args.output}")
     return 0

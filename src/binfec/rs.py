@@ -1,9 +1,10 @@
 """Systematic (n = 2^r, k) Reed-Solomon erasure codes, one codeword at a time.
 
-The codeword and erasure pattern live here; CodeParams (re-exported)
-and the pipeline itself, encoding in O(n lg k) and decoding in
-O(n lg n), are binfec.batch's.  encode() and decode() are BatchCodec's
-one-column view: list in, (h x 1) array through BatchCodec, list out.
+The codeword and erasure pattern live here.  CodeParams (re-exported)
+is binfec.shardfile's geometry value, and the pipeline itself, encoding
+in O(n lg k) and decoding in O(n lg n), is binfec.batch's.  encode()
+and decode() are BatchCodec's one-column view: list in, (h x 1) array
+through BatchCodec, list out.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
-"""Shard file format, stripe packing, and shard files read and written in chunks.
+"""Code geometry, shard file format, stripe packing, and chunked shard I/O.
+
+CodeParams(r, k), the one geometry value that the header, the CLI and
+the codec all take, fixes n, the symbol width, the stripe and the chunk.
 
 A shard file is a 21-byte header followed by that shard's symbols, one
 per stripe, in stripe order.  Symbols are little-endian, r/8 bytes
@@ -64,48 +67,71 @@ class InsufficientShardsError(RuntimeError):
     """Fewer usable shards than the k required for reconstruction."""
 
 
-class ShardHeader(NamedTuple):
-    """A shard file's header fields; immutable, equal and hashed by value."""
+# File bytes per chunk of a streamed encode or decode, rounded down to
+# whole stripes.  Peak memory is a few chunks, not the file; an encode
+# also holds one chunk's codewords, n/k chunks' worth.  At 512 KiB a
+# chunk's transposes stay in cache: the codec alone (2-core Xeon)
+# encodes a 4 MiB file at k=128 in 0.064 s chunk by chunk, against
+# 0.080 s in one pass, and repairs it at k=128 in the same time either
+# way.
+CHUNK_BYTES = 512 << 10
 
-    r: int
-    log2_k: int
-    shard_index: int
-    original_length: int
 
-    @property
-    def k(self) -> int:
-        return 1 << self.log2_k
+class CodeParams(NamedTuple("CodeParams", [("r", int), ("k", int)])):
+    """An (n = 2^r, k) code's geometry, k a power of two up to n; a hashable value."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, k: int) -> "CodeParams":
+        if k < 1 or k & (k - 1):
+            raise ValueError(f"k must be a power of two, got {k}")
+        if k > 1 << r:
+            raise ValueError(f"k={k} exceeds code length n={1 << r}")
+        return super().__new__(cls, r, k)
 
     @property
     def n(self) -> int:
         return 1 << self.r
 
     @property
-    def symbol_width(self) -> int:
+    def width(self) -> int:
+        """Bytes per symbol."""
         return self.r // 8
 
     @property
+    def stripe_bytes(self) -> int:
+        """File bytes per stripe: k symbols."""
+        return self.k * self.width
+
+    @property
+    def chunk_stripes(self) -> int:
+        """Stripes per chunk: about CHUNK_BYTES of file, at least one stripe."""
+        return max(1, CHUNK_BYTES // self.stripe_bytes)
+
+
+class ShardHeader(NamedTuple):
+    """A shard file's header fields; immutable, equal and hashed by value.
+
+    An encoding's shards share all but shard_index: _replace(shard_index=0).
+    """
+
+    code: CodeParams
+    shard_index: int
+    original_length: int
+
+    @property
     def stripe_count(self) -> int:
-        stripe_bytes = self.k * self.symbol_width
-        return -(-self.original_length // stripe_bytes) if self.original_length else 0
+        return -(-self.original_length // self.code.stripe_bytes)
 
     @property
     def payload_size(self) -> int:
         """Bytes after the header: one symbol per stripe."""
-        return self.stripe_count * self.symbol_width
-
-    def with_index(self, index: int) -> "ShardHeader":
-        return ShardHeader(self.r, self.log2_k, index, self.original_length)
-
-    @property
-    def encoding(self) -> tuple[int, int, int]:
-        """The fields that every shard of one encoding shares."""
-        return self.r, self.log2_k, self.original_length
+        return self.stripe_count * self.code.width
 
     def pack(self) -> bytes:
-        return _HEADER.pack(MAGIC, VERSION, self.r, self.log2_k,
-                            self.shard_index, self.original_length,
-                            DEFAULT_POLY[self.r])
+        r, k = self.code
+        return _HEADER.pack(MAGIC, VERSION, r, k.bit_length() - 1, self.shard_index,
+                            self.original_length, DEFAULT_POLY[r])
 
     @classmethod
     def unpack(cls, raw: bytes) -> "ShardHeader":
@@ -124,7 +150,8 @@ class ShardHeader(NamedTuple):
             raise ShardFormatError(f"log2_k={log2_k} out of range for r={r}")
         if index >= (1 << r):
             raise ShardFormatError(f"shard index {index} out of range")
-        return cls(r, log2_k, index, length)
+        # checked first: CodeParams raises ValueError, which read_shards lets through
+        return cls(CodeParams(r, 1 << log2_k), index, length)
 
 
 # Output bytes interleaved per pass of stripes_to_bytes: the pass's
@@ -133,17 +160,15 @@ class ShardHeader(NamedTuple):
 _BLOCK_BYTES = 1 << 20
 
 
-def bytes_to_stripes(data: bytes, k: int, r: int):
+def bytes_to_stripes(data: bytes, code: CodeParams):
     """File bytes as a read-only (k x stripes) symbol view, zero-padded."""
     import numpy as np
 
-    width = r // 8
-    stripe_bytes = k * width
-    pad = -len(data) % stripe_bytes
+    pad = -len(data) % code.stripe_bytes
     if pad:
         data = data + b"\0" * pad
-    flat = np.frombuffer(data, dtype=SYMBOL_DTYPE[r])
-    return flat.reshape(-1, k).T
+    flat = np.frombuffer(data, dtype=SYMBOL_DTYPE[code.r])
+    return flat.reshape(-1, code.k).T
 
 
 def _byte_view(row) -> memoryview:
@@ -177,21 +202,6 @@ def shard_filename(index: int) -> str:
     return f"shard-{index:05d}{SHARD_SUFFIX}"
 
 
-# File bytes per chunk of a streamed encode or decode, rounded down to
-# whole stripes.  Peak memory is a few chunks, not the file; an encode
-# also holds one chunk's codewords, n/k chunks' worth.  At 512 KiB a
-# chunk's transposes stay in cache: the codec alone (2-core Xeon)
-# encodes a 4 MiB file at k=128 in 0.064 s chunk by chunk, against
-# 0.080 s in one pass, and repairs it at k=128 in the same time either
-# way.
-CHUNK_BYTES = 512 << 10
-
-
-def chunk_stripes(k: int, r: int) -> int:
-    """Stripes per chunk: about CHUNK_BYTES of file, at least one stripe."""
-    return max(1, CHUNK_BYTES // (k * (r // 8)))
-
-
 def _fill(fh, buf: bytearray) -> int:
     """Read fh into buf until buf is full or fh ends; the bytes read."""
     view, got = memoryview(buf), 0
@@ -201,10 +211,10 @@ def _fill(fh, buf: bytearray) -> int:
     return got
 
 
-def read_chunks(fh, k: int, r: int):
+def read_chunks(fh, code: CodeParams):
     """Yield a file's bytes from fh one chunk at a time, as (chunk, length).
 
-    chunk is a memoryview of chunk_stripes(k, r) whole stripes or
+    chunk is a memoryview of code.chunk_stripes whole stripes or
     fewer, the last stripe zero-padded; it is valid until the next
     chunk is asked for, as one buffer is reused throughout.  length is
     None until the last chunk, which carries the number of bytes read
@@ -213,8 +223,8 @@ def read_chunks(fh, k: int, r: int):
     known in advance, such as a pipe, still ends with its length.  An
     empty file gives one empty chunk.
     """
-    stripe_bytes = k * (r // 8)
-    buf, total = bytearray(chunk_stripes(k, r) * stripe_bytes), 0
+    stripe_bytes = code.stripe_bytes
+    buf, total = bytearray(code.chunk_stripes * stripe_bytes), 0
     while True:
         got = _fill(fh, buf)
         total += got
@@ -251,7 +261,7 @@ def append_shards(outdir: str, codewords, offset: int,
         fd = os.open(os.path.join(outdir, shard_filename(j)), flags, 0o666)
         try:
             if header is not None:
-                _pwrite(fd, header.with_index(j).pack(), 0)
+                _pwrite(fd, header._replace(shard_index=j).pack(), 0)
             _pwrite(fd, row, HEADER_SIZE + offset)
         finally:
             os.close(fd)
@@ -304,9 +314,9 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
     """Check every shard's header and choose the k shards a decode reads.
 
     Every file's header is read and its payload size taken from the file
-    system.  The consensus is the encoding (r, log2 k, original length)
-    that most readable headers carry; a tie goes to the first file in
-    path order.  A shard of another encoding, with the wrong payload
+    system.  The consensus is the encoding (code and original length,
+    the header with index 0) that most readable headers carry; a tie goes
+    to the first file in path order.  A shard of another encoding, with the wrong payload
     size, or repeating an index counts as missing.  The k lowest-index
     usable shards are then chosen: every data shard when all are
     present, else the data shards present and the lowest parity shards.
@@ -331,14 +341,13 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
             skipped.append(f"{path}: {exc}")
     if not headers:
         raise InsufficientShardsError("no readable shard files found")
-    counts = Counter(h.encoding for _, h, _ in headers)
+    counts = Counter(h._replace(shard_index=0) for _, h, _ in headers)
     # max returns the first of equal counts, and a Counter keeps first-seen
     # order; most_common(1) would do the same but imports heapq
-    r, log2_k, length = max(counts, key=counts.get)
-    consensus = ShardHeader(r, log2_k, 0, length)
+    consensus = max(counts, key=counts.get)
     usable: dict[int, tuple[str, ShardHeader]] = {}
     for path, header, size in headers:
-        if header.encoding != consensus.encoding:
+        if header._replace(shard_index=0) != consensus:
             skipped.append(f"{path}: header disagrees with other shards")
             continue
         if size != header.payload_size:
@@ -350,7 +359,7 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
         usable[header.shard_index] = path, header
     chosen: dict[int, Shard] = {}
     for index in sorted(usable):
-        if len(chosen) == consensus.k:
+        if len(chosen) == consensus.code.k:
             break
         shard = Shard(*usable[index])
         try:

@@ -191,10 +191,11 @@ def test_repair_r16_from_the_k_lowest_payloads(bt16):
     # returns them, no shard files involved
     data = random.Random(88).randbytes(1000)
     k = 16
-    enc = BatchCodec(CodeParams(16, k), bt16).encode(bytes_to_stripes(data, k, 16))
+    code = CodeParams(16, k)
+    enc = BatchCodec(code, bt16).encode(bytes_to_stripes(data, code))
     known = [j for j in range(1 << 16) if j not in {3, 10, 11, 12}][:k]
     columns = {j: memoryview(enc[j].astype("<u2").tobytes()) for j in known}
-    rows = _repair(_codec(16, k), columns)
+    rows = _repair(_codec(code), columns)
     assert bytes(stripes_to_bytes(rows, 16, len(data))) == data
 
 

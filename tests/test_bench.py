@@ -1,4 +1,17 @@
+import ast
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+import binfec
 from binfec.bench import run_bench
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(binfec.__file__)))
 
 # (adds, muls) of one instrumented stripe, encode plus decode with n - k
 # seeded erasures: the transforms, the derivative, the locator scaling
@@ -25,3 +38,37 @@ def test_run_bench_op_counts_are_pinned():
     for (r, k), want in PINNED.items():
         result = run_bench(r, k, seed=0)
         assert (result.adds, result.muls) == want, (r, k)
+
+
+def _setup_code() -> str:
+    """perfbench/run.py's SETUP_CODE, read from its source without running it."""
+    with open(os.path.join(PERFBENCH, "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SETUP_CODE"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no SETUP_CODE")
+
+
+def _workloads() -> dict:
+    """perfbench/workloads.py's WORKLOADS; the module is standard library only."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, os.path.join(PERFBENCH, "workloads.py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # a dataclass looks its module up by name
+        spec.loader.exec_module(module)
+    return sys.modules[name].WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(_workloads()))
+def test_benchmark_setup_child_runs(name):
+    # setup_s, an end-to-end benchmark metric, times this child: it
+    # imports the CLI and builds the codec through binfec's public names
+    w = _workloads()[name]
+    proc = subprocess.run([sys.executable, "-c", _setup_code(), str(w.r), str(w.k)],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    float(proc.stdout.split()[-1])

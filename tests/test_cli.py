@@ -278,6 +278,32 @@ def test_encode_rejects_k_equal_to_n(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("**/*" + shardfile.SHARD_SUFFIX))
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--k", "100"], "k must be a power of two, got 100"),
+    (["--k", "0"], "k must be a power of two, got 0"),
+    (["--r", "8", "--k", "256"], "k must be below n=256"),
+])
+def test_encode_rejects_a_bad_geometry_before_numpy(tmp_path, args, message):
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"hello")
+    outdir = tmp_path / "s"
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('binfec.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(' '.join(sorted(sys.modules)))\n"
+            "    raise\n")
+    proc = subprocess.run([sys.executable, "-c", code, "encode", "--in", str(src),
+                           "--out", str(outdir), *args],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: {message}" in proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert sorted(m for m in loaded if m in HEALTHY_DECODE_DENIED or m.startswith("numpy.")) == []
+    assert not outdir.exists()
+
+
 def test_encode_missing_input_errors(tmp_path, capsys):
     assert main(["encode", "--in", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "s")]) != 0

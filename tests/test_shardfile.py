@@ -6,6 +6,7 @@ import pytest
 from binfec.field import SYMBOL_DTYPE
 from binfec.shardfile import (
     HEADER_SIZE,
+    CodeParams,
     InsufficientShardsError,
     ShardFormatError,
     ShardHeader,
@@ -17,10 +18,8 @@ from binfec.shardfile import (
 )
 
 
-def _header(**kw):
-    base = dict(r=8, log2_k=7, shard_index=0, original_length=1000)
-    base.update(kw)
-    return ShardHeader(**base)
+def _header(r=8, k=128, shard_index=0, original_length=1000):
+    return ShardHeader(CodeParams(r, k), shard_index, original_length)
 
 
 def test_header_pack_unpack_round_trip():
@@ -31,7 +30,7 @@ def test_header_pack_unpack_round_trip():
 
 
 def test_header_is_an_immutable_value():
-    fields = dict(r=16, log2_k=5, shard_index=7, original_length=123_456)
+    fields = dict(code=CodeParams(16, 32), shard_index=7, original_length=123_456)
     h = ShardHeader(**fields)
     with pytest.raises(AttributeError):
         h.shard_index = 8
@@ -41,13 +40,68 @@ def test_header_is_an_immutable_value():
     # equal, and hashed alike, exactly when all four fields are
     same = ShardHeader(**fields)
     assert same == h and hash(same) == hash(h) and {h: "found"}[same] == "found"
+    others = dict(code=CodeParams(16, 64), shard_index=8, original_length=123_457)
     for name in fields:
-        assert ShardHeader(**{**fields, name: fields[name] + 1}) != h, name
-    moved = h.with_index(9)
+        assert ShardHeader(**{**fields, name: others[name]}) != h, name
+    moved = h._replace(shard_index=9)
     assert moved == ShardHeader(**{**fields, "shard_index": 9}) and h.shard_index == 7
     for header in (h, moved):
         assert ShardHeader.unpack(header.pack()) == header
-    assert (h.k, h.n, h.symbol_width, h.encoding) == (32, 1 << 16, 2, (16, 5, 123_456))
+    assert (h.code.k, h.code.n, h.code.width) == (32, 1 << 16, 2)
+    assert h._replace(shard_index=0) == ShardHeader(CodeParams(16, 32), 0, 123_456)
+
+
+def test_code_params_is_the_one_geometry_value():
+    import binfec
+    import binfec.batch
+    import binfec.rs
+    import binfec.shardfile
+
+    assert binfec.CodeParams is binfec.batch.CodeParams is binfec.rs.CodeParams \
+        is binfec.shardfile.CodeParams is CodeParams
+    code = CodeParams(r=8, k=128)  # the keyword form, as the README writes it
+    assert code == CodeParams(8, 128) and (code.r, code.k) == (8, 128)
+    with pytest.raises(AttributeError):
+        code.k = 64
+    with pytest.raises(AttributeError):
+        code.note = "not a field"
+    assert {code: "found"}[CodeParams(8, 128)] == "found" and code != CodeParams(8, 64)
+    for c, derived in ((code, (256, 1, 128, 4096)), (CodeParams(16, 32), (65_536, 2, 64, 8192))):
+        assert (c.n, c.width, c.stripe_bytes, c.chunk_stripes) == derived, c
+
+
+def _raw_header(r, log2_k, index, poly=None):
+    from binfec.field import DEFAULT_POLY
+    from binfec.shardfile import _HEADER, MAGIC, VERSION
+
+    return _HEADER.pack(MAGIC, VERSION, r, log2_k, index, 12,
+                        DEFAULT_POLY[r] if poly is None else poly)
+
+
+# (raw header, what the error names): each passes every check but one
+OUT_OF_RANGE = [
+    (_raw_header(8, 8, 0), "log2_k=8"),
+    (_raw_header(8, 9, 0), "log2_k=9"),  # k above n: CodeParams itself would refuse it
+    (_raw_header(16, 16, 0), "log2_k=16"),
+    (_raw_header(16, 17, 0), "log2_k=17"),
+    (_raw_header(9, 2, 0, poly=0x211), "r=9"),
+    (_raw_header(8, 2, 300), "index 300"),
+]
+
+
+@pytest.mark.parametrize("raw, named", OUT_OF_RANGE,
+                         ids=[f"r{raw[5]}-log2_k{raw[6]}-index{int.from_bytes(raw[7:9], 'little')}"
+                              for raw, _ in OUT_OF_RANGE])
+def test_header_rejects_fields_out_of_range(tmp_path, raw, named):
+    with pytest.raises(ShardFormatError, match=named):
+        ShardHeader.unpack(raw)
+    paths = _write_shards(str(tmp_path), _header(k=4, original_length=12),
+                          np.zeros((256, 3), dtype=np.uint8))
+    with open(paths[2], "wb") as fh:
+        fh.write(raw + b"\0" * 3)
+    _, columns, skipped = read_shards(paths)
+    assert set(columns) == {0, 1, 3, 4}
+    assert len(skipped) == 1 and paths[2] in skipped[0] and named in skipped[0]
 
 
 def test_header_rejects_garbage():
@@ -72,7 +126,7 @@ def test_header_fields_little_endian():
 
 def test_stripe_packing_r8_is_verbatim_bytes():
     data = bytes(range(200))
-    mat = bytes_to_stripes(data, k=128, r=8)
+    mat = bytes_to_stripes(data, CodeParams(8, 128))
     assert mat.shape == (128, 2)
     assert mat[5, 0] == 5
     assert mat[200 - 128, 1] == 0  # zero padding
@@ -81,7 +135,7 @@ def test_stripe_packing_r8_is_verbatim_bytes():
 
 def test_stripe_packing_r16_little_endian():
     data = bytes([0x01, 0x02, 0x03, 0x04])
-    mat = bytes_to_stripes(data, k=2, r=16)
+    mat = bytes_to_stripes(data, CodeParams(16, 2))
     assert mat.shape == (2, 1)
     assert mat[0, 0] == 0x0201
     assert mat[1, 0] == 0x0403
@@ -109,7 +163,7 @@ def _payload(shard):
 
 def _write_shards(outdir, header, codewords):
     """Shard files holding the rows of (n x stripes) codewords, in one chunk; their paths."""
-    assert codewords.dtype == SYMBOL_DTYPE[header.r]  # append_shards writes rows as stored
+    assert codewords.dtype == SYMBOL_DTYPE[header.code.r]  # append_shards writes rows as stored
     os.makedirs(outdir, exist_ok=True)
     append_shards(outdir, codewords, 0, header)
     return [os.path.join(outdir, shard_filename(j)) for j in range(len(codewords))]
@@ -117,13 +171,13 @@ def _write_shards(outdir, header, codewords):
 
 def test_write_and_read_shards_round_trip(tmp_path):
     rng = np.random.default_rng(91)
-    header = _header(log2_k=2, original_length=12)  # k=4, 3 stripes
+    header = _header(k=4, original_length=12)  # k=4, 3 stripes
     codewords = rng.integers(0, 256, (256, 3), dtype=np.uint8)
     paths = _write_shards(str(tmp_path), header, codewords)
     assert len(paths) == 256
     consensus, columns, skipped = read_shards(paths)
     assert skipped == []
-    assert consensus.encoding == header.encoding
+    assert consensus == header
     assert set(columns) == set(range(4))  # the k data shards only
     for j in columns:
         assert (np.frombuffer(_payload(columns[j]), dtype=np.uint8) == codewords[j]).all()
@@ -136,11 +190,11 @@ def test_write_and_read_shards_round_trip(tmp_path):
 
 
 def test_read_shards_skips_mismatched_headers(tmp_path):
-    header = _header(log2_k=2, original_length=12)
+    header = _header(k=4, original_length=12)
     codewords = np.zeros((256, 3), dtype=np.uint8)
     paths = _write_shards(str(tmp_path), header, codewords)
     # rewrite one shard with a different geometry: treated as missing
-    alien = _header(log2_k=3, original_length=12, shard_index=7)
+    alien = _header(k=8, original_length=12, shard_index=7)
     with open(paths[7], "wb") as fh:
         fh.write(alien.pack() + b"\0" * 24)
     consensus, columns, skipped = read_shards(paths)
@@ -150,10 +204,10 @@ def test_read_shards_skips_mismatched_headers(tmp_path):
 
 def test_header_with_another_polynomial_is_foreign(tmp_path):
     # a field other than GF(2^8) mod 0x11D: same layout, bytes 17-20 differ
-    raw = _header(log2_k=2, original_length=12).pack()[:17] + (0x11B).to_bytes(4, "little")
+    raw = _header(k=4, original_length=12).pack()[:17] + (0x11B).to_bytes(4, "little")
     with pytest.raises(ShardFormatError, match="0x11b"):
         ShardHeader.unpack(raw)
-    paths = _write_shards(str(tmp_path), _header(log2_k=2, original_length=12),
+    paths = _write_shards(str(tmp_path), _header(k=4, original_length=12),
                           np.zeros((256, 3), dtype=np.uint8))
     with open(paths[1], "wb") as fh:
         fh.write(raw + b"\0" * 3)
@@ -163,10 +217,10 @@ def test_header_with_another_polynomial_is_foreign(tmp_path):
 
 
 def test_read_shards_consensus_is_the_majority(tmp_path):
-    header = _header(log2_k=2, original_length=12)
+    header = _header(k=4, original_length=12)
     paths = _write_shards(str(tmp_path / "a"), header, np.zeros((256, 3), dtype=np.uint8))
     # two foreign shards that sort first, outvoted by the 256 genuine ones
-    foreign = _write_shards(str(tmp_path / "0"), _header(log2_k=3, original_length=40),
+    foreign = _write_shards(str(tmp_path / "0"), _header(k=8, original_length=40),
                             np.zeros((256, 2), dtype=np.uint8))[:2]
     consensus, columns, skipped = read_shards(foreign + paths)
     assert consensus == header
@@ -174,11 +228,11 @@ def test_read_shards_consensus_is_the_majority(tmp_path):
     assert [note.split(":")[0] for note in skipped] == foreign
     # a tie goes to the first file in path order
     consensus, _, _ = read_shards(foreign + paths[:2])
-    assert consensus.encoding == _header(log2_k=3, original_length=40).encoding
+    assert consensus == _header(k=8, original_length=40)
 
 
 def test_read_shards_skips_short_payloads(tmp_path):
-    header = _header(log2_k=2, original_length=12)
+    header = _header(k=4, original_length=12)
     paths = _write_shards(str(tmp_path), header, np.zeros((256, 3), dtype=np.uint8))
     with open(paths[3], "ab") as fh:
         fh.write(b"\0")  # payload now one byte too long
@@ -189,7 +243,7 @@ def test_read_shards_skips_short_payloads(tmp_path):
 def test_read_shards_replaces_a_shard_that_changes_after_its_header(tmp_path, monkeypatch):
     import binfec.shardfile as shardfile
 
-    header = _header(log2_k=2, original_length=12)
+    header = _header(k=4, original_length=12)
     codewords = (np.arange(256 * 3).reshape(256, 3) % 251).astype(np.uint8)
     paths = _write_shards(str(tmp_path), header, codewords)
     read_header = shardfile._read_header

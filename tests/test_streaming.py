@@ -57,8 +57,9 @@ def test_chunk_boundaries_change_nothing(tmp_path, monkeypatch, locator_calls, b
     if chunk is not None:
         monkeypatch.setattr(shardfile, "CHUNK_BYTES", chunk)
     size_of_chunk = shardfile.CHUNK_BYTES
-    codec = BatchCodec(CodeParams(r, k), bt8 if r == 8 else bt16)
-    n, log2_k = 1 << r, k.bit_length() - 1
+    code = CodeParams(r, k)
+    codec = BatchCodec(code, bt8 if r == 8 else bt16)
+    n = code.n
     # r=8 compares every shard; r=16 the data shards and a spread of parity
     compared = range(n) if r == 8 else [*range(k), *range(k, n, 251), n - 1]
     lost = {1, k - 1}
@@ -73,9 +74,9 @@ def test_chunk_boundaries_change_nothing(tmp_path, monkeypatch, locator_calls, b
         (base / "in.bin").write_bytes(data)
         _encode(base / "in.bin", shards, r, k)
 
-        reference = codec.encode(bytes_to_stripes(data, k, r))
+        reference = codec.encode(bytes_to_stripes(data, code))
         for j in compared:
-            header = ShardHeader(r, log2_k, j, size).pack()
+            header = ShardHeader(code, j, size).pack()
             raw = (shards / shard_filename(j)).read_bytes()
             assert raw == header + reference[j].tobytes(), (size, j)
         assert len(os.listdir(shards)) == n
@@ -131,15 +132,16 @@ def test_read_chunks_from_a_stream_of_short_reads(monkeypatch, r, k):
     # BufferedIOBase promises at most one raw read a call on an
     # interactive stream, so a short read must not end a chunk early
     monkeypatch.setattr(shardfile, "CHUNK_BYTES", 42)  # 10 stripes of 4 bytes
-    stripe = k * (r // 8)
-    chunk = shardfile.chunk_stripes(k, r) * stripe
+    code = CodeParams(r, k)
+    stripe = code.stripe_bytes
+    chunk = code.chunk_stripes * stripe
     assert chunk == 40
     rng = random.Random(126)
     for size in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk):
         data = rng.randbytes(size)
         fh = io.BufferedReader(_Trickle(data), buffer_size=16)
         # copies: read_chunks reuses its buffer
-        got = [(bytes(c), length) for c, length in shardfile.read_chunks(fh, k, r)]
+        got = [(bytes(c), length) for c, length in shardfile.read_chunks(fh, code)]
         assert len(got) == max(1, -(-size // chunk)), size
         assert all(len(c) % stripe == 0 and len(c) <= chunk for c, _ in got), size
         assert [length for _, length in got[:-1]] == [None] * (len(got) - 1), size
