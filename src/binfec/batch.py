@@ -11,7 +11,11 @@ a unique degree-< k polynomial at the first k field points, recovers
 its basis-domain coefficients with one k-point inverse transform, and
 evaluates the remaining n - k points in k-point blocks with shifted
 forward transforms: O(n lg k) field operations, and the first k rows
-are the message verbatim.
+are the message verbatim.  Each block depends only on the coefficients,
+so encode_blocks yields the codewords one k-row block at a time, all
+computed into one reused buffer: the CLI writes each block to its
+shards before the next is computed, so an encode holds one block, not
+n/k of them.  encode copies the blocks into one (n x stripes) array.
 
 Decoding takes only the surviving rows, as a {position: row} map, and
 uses the k lowest-index ones.  If every data position survives, its
@@ -88,21 +92,37 @@ class BatchCodec:
 
     # -- public API ------------------------------------------------------
 
-    def encode(self, messages: np.ndarray,
-               ops: OpCounter | None = None) -> np.ndarray:
-        """Encode a (k x stripes) message array into (n x stripes) shards."""
+    def encode_blocks(self, messages: np.ndarray, ops: OpCounter | None = None):
+        """Yield the codewords of (k x stripes) messages a k-row block at a time.
+
+        Each item is (first position, (k x stripes) rows): the message
+        rows at 0, then the shifted forward block at each multiple of k,
+        in position order up to n.  Every block is computed into one
+        buffer, so a block's rows are valid only until the next block is
+        asked for: a caller that keeps them copies them.  The messages
+        are checked when the first block is asked for.
+        """
         cp = self.cp
         if messages.shape[0] != cp.k:
             raise ValueError(f"message rows {messages.shape[0]} != k={cp.k}")
-        messages = self._symbols(messages)
-        out = np.empty((cp.n, messages.shape[1]), dtype=self.dtype)
-        out[:cp.k] = messages
-        coeffs = out[:cp.k].copy()
+        coeffs = self._symbols(messages).copy()  # C order, as the kernels need
+        yield 0, coeffs
         self._inverse_inplace(coeffs, 0, ops)
-        for i in range(1, cp.n // cp.k):
-            block = out[i * cp.k:(i + 1) * cp.k]
+        block = np.empty_like(coeffs)
+        for first in range(cp.k, cp.n, cp.k):
             block[...] = coeffs
-            self._forward_inplace(block, i * cp.k, ops)
+            self._forward_inplace(block, first, ops)
+            yield first, block
+
+    def encode(self, messages: np.ndarray,
+               ops: OpCounter | None = None) -> np.ndarray:
+        """Encode a (k x stripes) message array into (n x stripes) shards."""
+        blocks = self.encode_blocks(messages, ops)
+        _, data = next(blocks)
+        out = np.empty((self.cp.n, data.shape[1]), dtype=self.dtype)
+        out[:self.cp.k] = data
+        for first, block in blocks:
+            out[first:first + self.cp.k] = block
         return out
 
     def decode(self, survivors: Mapping[int, np.ndarray],
@@ -112,7 +132,8 @@ class BatchCodec:
         survivors maps codeword positions in [0, n) to 1-D rows of equal
         length: row j holds position j of every stripe.  Any k or more
         survivors decode, and every row is checked, but only the k
-        lowest-index ones are used.  When every data position survives,
+        lowest-index ones are used, so only those are converted to the
+        codec's dtype and gathered.  When every data position survives,
         its rows are returned with no field arithmetic and ops is left
         as it is.  Otherwise the repair runs an h-point inverse
         transform, h the smallest power of two (at least k) above the
@@ -135,7 +156,10 @@ class BatchCodec:
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ValueError(f"survivor rows must be 1-D of one length, got {shapes}")
         (width,) = shapes.pop()
-        rows = self._symbols(np.concatenate(rows).reshape(len(rows), width))[:k]
+        # rows beyond the k used are range-checked but not converted
+        if wider := [row for row in rows[k:] if row.dtype != self.dtype]:
+            symbols(self.ft, np.concatenate(wider))
+        rows = self._symbols(np.concatenate(rows[:k]).reshape(k, width))
         last = int(positions[k - 1])
         if last == k - 1:  # every data row survives
             return rows

@@ -12,9 +12,10 @@ Subcommands:
 encode and decode stream the file: each handles one chunk of about
 shardfile.CHUNK_BYTES of file bytes at a time, so their memory does not
 grow with the file.  Encode appends each chunk's codewords to the
-shards and writes the headers with the last chunk, so its input may be
-a pipe.  It refuses a directory holding shard files that it would not
-overwrite, which a later decode would count among the new shards.
+shards one k-row block at a time, as each is computed, and writes the
+headers with the last chunk, so its input may be a pipe.  It refuses a
+directory holding shard files that it would not overwrite, which a
+later decode would count among the new shards.
 Decode reads each chunk's window of the k chosen shards, repairs or
 interleaves it, and writes the file beside --out under a temporary
 name, renamed onto --out only when the whole file is written.
@@ -85,10 +86,9 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         os.makedirs(args.outdir, exist_ok=True)
         for chunk, length in read_chunks(fh, code):
             header = None if length is None else ShardHeader(code, 0, length)
-            # no name keeps a chunk's codewords, n/k chunks' worth, alive
-            # while the next chunk's are built
-            append_shards(args.outdir, codec.encode(bytes_to_stripes(chunk, code)),
-                          offset, header)
+            # each k-row block is written before the next is computed
+            for first, rows in codec.encode_blocks(bytes_to_stripes(chunk, code)):
+                append_shards(args.outdir, rows, first, offset, header)
             offset += len(chunk) // code.k
     print(f"wrote {code.n} shards ({offset // code.width} stripes, k={code.k}, n={code.n}) "
           f"to {args.outdir}")

@@ -28,10 +28,11 @@ row.
 
 Files are read and written one chunk of about CHUNK_BYTES of file
 bytes at a time: read_chunks reads the input into one reused buffer,
-append_shards, the one writer, writes each chunk's rows at their
-offset in every shard, and Shard.read reads one window of a shard's
-payload.  A shard file is opened for one chunk's access and closed
-again, so the number of open files stays one however large n is.
+append_shards, the one writer, writes a run of a chunk's rows (an
+encode's k-row block) at their offset in their shards, and Shard.read
+reads one window of a shard's payload.  A shard file is opened for one
+chunk's access and closed again, so the number of open files stays one
+however large n is.
 Every open is non-blocking, so a FIFO at a shard's name fails at once:
 a decode skips it with a note and an encode stops with an error.
 
@@ -68,26 +69,36 @@ class InsufficientShardsError(RuntimeError):
 
 
 # File bytes per chunk of a streamed encode or decode, rounded down to
-# whole stripes.  Peak memory is a few chunks, not the file; an encode
-# also holds one chunk's codewords, n/k chunks' worth.  At 512 KiB a
-# chunk's transposes stay in cache: the codec alone (2-core Xeon)
-# encodes a 4 MiB file at k=128 in 0.064 s chunk by chunk, against
-# 0.080 s in one pass, and repairs it at k=128 in the same time either
-# way.
+# whole stripes.  Peak memory is a few chunks, not the file: an encode
+# holds the input chunk, its coefficients and one k-row codeword block,
+# each a chunk's size, whatever n/k is.  At 512 KiB a chunk's
+# transposes stay in cache: the codec alone (2-core Xeon) encodes a
+# 4 MiB file at k=128 in 0.064 s chunk by chunk, against 0.080 s in one
+# pass, and repairs it at k=128 in the same time either way.
 CHUNK_BYTES = 512 << 10
 
 
 class CodeParams(NamedTuple("CodeParams", [("r", int), ("k", int)])):
-    """An (n = 2^r, k) code's geometry, k a power of two up to n; a hashable value."""
+    """An (n = 2^r, k) code's geometry, k a power of two up to n; a hashable value.
+
+    Every way of building one checks its fields: _make, and so _replace,
+    goes through __new__.
+    """
 
     __slots__ = ()
 
     def __new__(cls, r: int, k: int) -> "CodeParams":
+        if r not in DEFAULT_POLY:
+            raise ValueError(f"r must be one of {sorted(DEFAULT_POLY)}, got {r}")
         if k < 1 or k & (k - 1):
             raise ValueError(f"k must be a power of two, got {k}")
         if k > 1 << r:
             raise ValueError(f"k={k} exceeds code length n={1 << r}")
         return super().__new__(cls, r, k)
+
+    @classmethod
+    def _make(cls, iterable) -> "CodeParams":
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -244,20 +255,22 @@ def _pwrite(fd: int, data, offset: int) -> None:
         view, offset = view[written:], offset + written
 
 
-def append_shards(outdir: str, codewords, offset: int,
+def append_shards(outdir: str, rows, first: int, offset: int,
                   header: ShardHeader | None = None) -> None:
-    """Write row j of (n x stripes) codewords into shard file j at payload offset.
+    """Write rows[i] into shard file first + i at payload offset.
 
+    rows is a run of codeword rows, such as one k-row block of an
+    encode: row i is shard first + i's payload for the chunk's stripes.
     offset is the payload bytes each shard holds already; 0 creates (or
-    empties) every file.  header, given with the file's last chunk, is
-    written at the start of every file.  Until then each file's first
-    HEADER_SIZE bytes are left unwritten, so they read as zeros, which
-    no decode accepts: the shards of an encode that stops early are
-    unreadable, not wrong.  Each file is opened for its row only, so
+    empties) each file written.  header, given with the file's last
+    chunk, is written at the start of each file.  Until then each file's
+    first HEADER_SIZE bytes are left unwritten, so they read as zeros,
+    which no decode accepts: the shards of an encode that stops early
+    are unreadable, not wrong.  Each file is opened for its row only, so
     one shard at most is open at a time (n reaches 65,536).
     """
     flags = os.O_WRONLY | os.O_NONBLOCK | (os.O_CREAT | os.O_TRUNC if offset == 0 else 0)
-    for j, row in enumerate(codewords):
+    for j, row in enumerate(rows, first):
         fd = os.open(os.path.join(outdir, shard_filename(j)), flags, 0o666)
         try:
             if header is not None:

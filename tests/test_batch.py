@@ -177,6 +177,20 @@ def test_batch_decode_takes_survivors_in_a_wider_dtype(bt8):
     assert (dec == msgs).all()
 
 
+@pytest.mark.parametrize("r, k, lost", [(8, 16, set()), (8, 16, {3}), (16, 128, {0, 77})])
+def test_decode_from_every_survivor_equals_decode_from_the_k_lowest(bt8, bt16, r, k, lost):
+    # rows beyond the k lowest are checked but neither converted nor used
+    codec = BatchCodec(CodeParams(r, k), bt8 if r == 8 else bt16)
+    msgs = np.random.default_rng(89 + r + len(lost)).integers(0, 1 << r, (k, 5),
+                                                              dtype=codec.dtype)
+    every = _survivors(codec.encode(msgs), lost)
+    lowest = dict(sorted(every.items())[:k])
+    assert (codec.decode(lowest) == msgs).all()
+    assert (codec.decode(every) == msgs).all()
+    wider = {j: row.astype(np.int32) for j, row in every.items()}
+    assert (codec.decode(wider) == msgs).all()
+
+
 def test_batch_decode_of_parity_loss_does_no_field_arithmetic(bt8):
     codec = BatchCodec(CodeParams(8, 16), bt8)
     msgs = np.random.default_rng(87).integers(0, 256, (16, 5), dtype=np.uint8)

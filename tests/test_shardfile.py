@@ -70,6 +70,21 @@ def test_code_params_is_the_one_geometry_value():
         assert (c.n, c.width, c.stripe_bytes, c.chunk_stripes) == derived, c
 
 
+def test_code_params_checks_every_field_on_every_path():
+    # a width with no field would give width 1 at r=12
+    with pytest.raises(ValueError, match="r must be one of"):
+        CodeParams(12, 16)
+    # _replace and _make build through __new__, not tuple.__new__
+    with pytest.raises(ValueError, match="power of two"):
+        CodeParams(8, 16)._replace(k=3)
+    with pytest.raises(ValueError, match="power of two"):
+        CodeParams._make((8, 5))
+    with pytest.raises(ValueError, match="exceeds code length"):
+        CodeParams(8, 16)._replace(k=512)
+    assert CodeParams(8, 16)._replace(r=16) == CodeParams._make((16, 16)) == CodeParams(16, 16)
+    assert type(CodeParams._make((8, 2))) is CodeParams
+
+
 def _raw_header(r, log2_k, index, poly=None):
     from binfec.field import DEFAULT_POLY
     from binfec.shardfile import _HEADER, MAGIC, VERSION
@@ -165,7 +180,7 @@ def _write_shards(outdir, header, codewords):
     """Shard files holding the rows of (n x stripes) codewords, in one chunk; their paths."""
     assert codewords.dtype == SYMBOL_DTYPE[header.code.r]  # append_shards writes rows as stored
     os.makedirs(outdir, exist_ok=True)
-    append_shards(outdir, codewords, 0, header)
+    append_shards(outdir, codewords, 0, 0, header)
     return [os.path.join(outdir, shard_filename(j)) for j in range(len(codewords))]
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import binfec
@@ -14,6 +15,8 @@ import binfec.shardfile as shardfile
 from binfec.batch import BatchCodec, CodeParams
 from binfec.cli import main
 from binfec.shardfile import HEADER_SIZE, ShardHeader, bytes_to_stripes, shard_filename
+
+from oracles import lagrange_eval
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(binfec.__file__)))
 ENV = dict(os.environ, PYTHONPATH=SRC)
@@ -89,6 +92,35 @@ def test_chunk_boundaries_change_nothing(tmp_path, monkeypatch, locator_calls, b
         # one locator per decode, however many chunks it repairs
         assert len(locator_calls) == (1 if size else 0), size
         locator_calls.clear()
+
+
+# (r, k, stripes): r=8 from one data row to k = n/2, and r=16 with
+# 4,096 blocks of narrow rows
+@pytest.mark.parametrize("r, k, stripes", [(8, 1, 33), (8, 2, 33), (8, 16, 33),
+                                           (8, 128, 33), (16, 16, 3)])
+def test_encode_blocks_are_the_codeword_in_position_order(bt8, bt16, ft8, ft16, r, k, stripes):
+    code = CodeParams(r, k)
+    codec = BatchCodec(code, bt8 if r == 8 else bt16)
+    ft = ft8 if r == 8 else ft16
+    rng = np.random.default_rng(129 + r + k)
+    msgs = rng.integers(0, code.n, (k, stripes), dtype=codec.dtype)
+    # copies: every block is computed into one reused buffer
+    blocks = [(first, rows.copy()) for first, rows in codec.encode_blocks(msgs)]
+    assert [first for first, _ in blocks] == list(range(0, code.n, k))
+    assert all(rows.shape == (k, stripes) and rows.dtype == codec.dtype for _, rows in blocks)
+    joined = np.concatenate([rows for _, rows in blocks])
+    assert (joined == codec.encode(msgs)).all()
+    assert (joined[:k] == msgs).all()
+    # the Lagrange oracle at every block's first and last position (a
+    # sample of the blocks at r=16) and a few others, on three stripes
+    pyrng = random.Random(129 + r + k)
+    firsts = range(k, code.n, k) if r == 8 else pyrng.sample(range(k, code.n, k), 40)
+    positions = sorted({*firsts, *(f + k - 1 for f in firsts),
+                        *pyrng.sample(range(k, code.n), 8)})
+    for s in (0, stripes // 2, stripes - 1):
+        ys = [int(v) for v in msgs[:, s]]
+        assert [int(joined[x, s]) for x in positions] == \
+            [lagrange_eval(ft, list(range(k)), ys, x) for x in positions], s
 
 
 def test_encode_from_a_pipe(tmp_path):
@@ -282,3 +314,17 @@ def test_peak_memory_does_not_grow_with_the_file(tmp_path):
     (encode16, decode16), (encode64, decode64) = peaks[16], peaks[64]
     assert abs(encode64 - encode16) <= 8, peaks
     assert abs(decode64 - decode16) <= 8, peaks
+
+
+def test_encode_peak_memory_does_not_grow_with_n_over_k(tmp_path):
+    # an encode holds one k-row codeword block, not all n/k of a chunk,
+    # which at k=1 would be 128 MiB of codewords
+    src = tmp_path / "in.bin"
+    src.write_bytes(random.Random(130).randbytes(4 << 20))
+    peaks = {}
+    for k in (1, 128):
+        shards = tmp_path / f"k{k}"
+        peaks[k] = _peak_rss_mib("encode", "--in", src, "--out", shards, "--r", 8, "--k", k)
+        os.remove(shards / shard_filename(0))
+        assert _decode(shards, tmp_path / f"k{k}.bin") == src.read_bytes(), k
+    assert abs(peaks[1] - peaks[128]) <= 8, peaks
