@@ -37,7 +37,7 @@ the one geometry value that the shard header and the CLI take too.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -125,6 +125,18 @@ class BatchCodec:
             out[first:first + self.cp.k] = block
         return out
 
+    def repair_points(self, positions: Iterable[int]) -> int:
+        """h of a decode from these survivor positions, k or more of them.
+
+        h is the smallest power of two, at least k, whose prefix [0, h)
+        holds the k lowest positions: the code restricted to that
+        subspace is an (h, k) code in the same basis, and a repair runs
+        its transforms at h points.  h is k exactly when those are the
+        k data positions, which decode returns with no arithmetic.
+        """
+        last = sorted(positions)[self.cp.k - 1]
+        return max(self.cp.k, 1 << int(last).bit_length())
+
     def decode(self, survivors: Mapping[int, np.ndarray],
                ops: OpCounter | None = None) -> np.ndarray:
         """Recover the (k x stripes) messages from their surviving rows.
@@ -136,13 +148,12 @@ class BatchCodec:
         codec's dtype and gathered.  When every data position survives,
         its rows are returned with no field arithmetic and ops is left
         as it is.  Otherwise the repair runs an h-point inverse
-        transform, h the smallest power of two (at least k) above the
-        highest survivor used, and a k-point forward transform; ops, if
-        given, also counts the locator scaling (one multiplication per
-        survivor used) and the final division (one per lost data row),
-        per stripe.  A repair that uses the same survivor positions as
-        the one before, as every chunk of a streamed file does, reuses
-        its erasure locator.
+        transform, h = repair_points(survivors), and a k-point forward
+        transform; ops, if given, also counts the locator scaling (one
+        multiplication per survivor used) and the final division (one
+        per lost data row), per stripe.  A repair that uses the same
+        survivor positions as the one before, as every chunk of a
+        streamed file does, reuses its erasure locator.
         """
         n, k = self.cp.n, self.cp.k
         if not all(0 <= j < n for j in survivors):
@@ -160,21 +171,17 @@ class BatchCodec:
         if wider := [row for row in rows[k:] if row.dtype != self.dtype]:
             symbols(self.ft, np.concatenate(wider))
         rows = self._symbols(np.concatenate(rows[:k]).reshape(k, width))
-        last = int(positions[k - 1])
-        if last == k - 1:  # every data row survives
+        h = self.repair_points(positions[:k])
+        if h == k:  # every data row survives
             return rows
 
         known = np.array(positions[:k])
         key, memo = known.tobytes(), self._locator
         if memo is None or memo[0] != key:
-            # [0, h) holds the k survivors used; the code restricted to
-            # that subspace is an (h, k) code in the same basis.
-            h = max(k, 1 << last.bit_length())
             erased = np.ones(h, dtype=bool)
             erased[known] = False
             memo = self._locator = key, erased, locator_values(self.ft, np.flatnonzero(erased), h)
         _, erased, loc = memo
-        h = len(erased)
         # Erased points are the locator's roots, so their rows stay zero.
         phi = np.zeros((h, width), dtype=self.dtype)
         phi[known] = mul_rows(self.ft, rows, loc[known])

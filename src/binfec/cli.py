@@ -18,7 +18,9 @@ directory holding shard files that it would not overwrite, which a
 later decode would count among the new shards.
 Decode reads each chunk's window of the k chosen shards, repairs or
 interleaves it, and writes the file beside --out under a temporary
-name, renamed onto --out only when the whole file is written.
+name, renamed onto --out only when the whole file is written.  A
+repair at h > 2k points takes fewer stripes a chunk, so that its
+(h x stripes) array stays within two chunks' bytes.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     # systematic when every data shard is present: no field arithmetic
     codec = None if all(j in shards for j in range(code.k)) else _codec(code)
     step, width = code.chunk_stripes, code.width
+    if codec is not None:
+        step = code.repair_stripes(codec.repair_points(shards))
     with _replacing(args.output) as out:
         for start in range(0, header.stripe_count, step):
             window = start * width, min(step, header.stripe_count - start) * width

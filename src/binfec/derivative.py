@@ -90,7 +90,7 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
     higher = range(k.bit_length() - 1, h.bit_length() - 1)
     for l in higher:
         rows = slice(1 << l, (1 << l) + k)
-        acc ^= mul_rows(bt.ft, a[rows], bt.b_prod[rows])
+        mul_rows(bt.ft, a[rows], bt.b_prod[rows], add_to=acc)
     if ops is not None:
         terms = k // 2 * (k.bit_length() - 1) + k * len(higher)
         ops.adds += (terms - k + (k == h)) * stripes

@@ -45,13 +45,17 @@ class FieldArrays(NamedTuple):
     exp holds the exp table twice over, so exp[log[a] + log[b]] needs no
     modular reduction; log is int32, log[0] = 0; inv[a] is a's inverse,
     inv[0] = 0.  product, at r=8 only, is the 256 x 256 product table
-    flattened, entry (a << 8) | b holding a * b; None at r=16.
+    flattened, entry (a << 8) | b holding a * b; product_rows holds its
+    rows, read-only 256-byte views of the same bytes with
+    product_rows[a][b] = a * b, the tables that bytearray.translate
+    takes.  Both are None at r=16.
     """
 
     exp: np.ndarray
     log: np.ndarray
     inv: np.ndarray
     product: np.ndarray | None
+    product_rows: tuple[memoryview, ...] | None
 
 
 class FieldTables:
@@ -59,7 +63,8 @@ class FieldTables:
 
     exp[j] = ALPHA^j for j in [0, 2^r - 1); log[exp[j]] = j.  arrays
     holds the log, exp, inverse and (at r=8) product tables as read-only
-    numpy arrays.  Safe to share across threads.
+    numpy arrays, and the product table's rows as read-only bytes views.
+    Safe to share across threads.
     """
 
     def __init__(self, r: int, log: list[int], exp: list[int]):
@@ -76,15 +81,19 @@ class FieldTables:
         log_a = np.array(log, dtype=np.int32)
         inv = exp_a[m - log_a]
         inv[0] = 0
-        product = None
+        product = product_rows = None
         if r == 8:
             product = exp_a[log_a[:, None] + log_a[None, :]]
             product[0, :] = product[:, 0] = 0
-            product = product.ravel()
+            # one table: the gather reads it as an array, translate by row
+            flat = product.tobytes()
+            product = np.frombuffer(flat, np.uint8)
+            view = memoryview(flat)
+            product_rows = tuple(view[f << 8:(f + 1) << 8] for f in range(256))
         for a in (exp_a, log_a, inv, product):
             if a is not None:
                 a.flags.writeable = False
-        self.arrays = FieldArrays(exp_a, log_a, inv, product)
+        self.arrays = FieldArrays(exp_a, log_a, inv, product, product_rows)
 
     def mul(self, a: int, b: int) -> int:
         """Field multiplication via log/exp lookup."""

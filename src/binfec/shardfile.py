@@ -119,6 +119,14 @@ class CodeParams(NamedTuple("CodeParams", [("r", int), ("k", int)])):
         """Stripes per chunk: about CHUNK_BYTES of file, at least one stripe."""
         return max(1, CHUNK_BYTES // self.stripe_bytes)
 
+    def repair_stripes(self, h: int) -> int:
+        """Stripes per chunk of a decode that repairs at h points.
+
+        chunk_stripes, or fewer when h > 2k, so that the repair's
+        (h x stripes) array holds at most 2 x CHUNK_BYTES.
+        """
+        return max(1, min(self.chunk_stripes, 2 * CHUNK_BYTES // (h * self.width)))
+
 
 class ShardHeader(NamedTuple):
     """A shard file's header fields; immutable, equal and hashed by value.

@@ -25,18 +25,23 @@ kernels read the butterfly factors BasisTables.w_hat and the field
 tables FieldTables.arrays, read-only arrays each built once by the
 object that owns it.  Multiplying rows by constants takes one of three
 routes, chosen by field width and row width.  At r=8 a row at least
-_PAIR_MIN symbols wide is multiplied two symbols per lookup: a
-65,536-entry uint16 table of its factor f times every symbol pair is
-built for that row alone, and the row is gathered through it as a
-uint16 view, chunk by chunk, so no table outlives its row (caching
-all 255 would take 32 MiB).  A narrower row, a strided one, and the
-last symbol of an odd-width one take the flat route: the 256 x 256
-product table gathered at the flat index (f << 8) | v, one gather
-covering as many whole rows as fit in a chunk, so the many short
-blocks of a one-column call cost a few calls per level.  At r=16 a
-product table would not fit, so the multiply adds logs and looks the
-sum up in the exp table stored twice over, so no modular reduction is
-needed; zero operands are masked explicitly.
+_TRANSLATE_MIN = 2,048 symbols wide is copied into a bytearray and
+translated through FieldArrays.product_rows[f], the 256 bytes of its
+factor f times every symbol: one C byte-table lookup per symbol, with
+no index buffer and no table built per call.  Rows are translated in
+pieces of about _PIECE bytes (several whole rows, or part of a wide
+one), and each piece is stored into the output or, for a butterfly,
+XORed straight into u.  Each translate costs about 2 us a call, so a
+narrower row takes the flat route instead: the 256 x 256 product table
+gathered at the flat index (f << 8) | v, one gather covering as many
+whole rows as fit in _PIECE symbols, so the many short blocks of a
+one-column call cost a few calls per level.  The two routes tie at
+1,024 symbols a row; at 2,048 translate is 1.3x faster, at 4,096 1.6x
+and at 32,768 1.8x (2-core Xeon, CPython 3.11, numpy 2.4, half-MiB
+butterfly levels, medians of 41 alternating calls).  At r=16 a product
+table would not fit, so the multiply adds logs and looks the sum up in
+the exp table stored twice over, so no modular reduction is needed;
+zero operands are masked explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
 additions and multiplications the kernels execute, level by level, so
@@ -56,15 +61,16 @@ import numpy as np
 from .basis import BasisTables
 from .field import SYMBOL_DTYPE, FieldTables
 
-# Indices per table gather at r=8; numpy converts its indices to an
-# 8-byte-per-index buffer.
-_CHUNK = 1 << 16
+# Narrowest r=8 row multiplied through bytearray.translate (the
+# crossover is measured in the module docstring).
+_TRANSLATE_MIN = 1 << 11
 
-# Narrowest r=8 row multiplied through its own pair table.  Building a
-# table costs about 25 us, so narrow rows lose: the two routes tie at
-# 32,768 symbols a row, the pair route is 1.3x slower at 16,384 and
-# about 1.2x faster from 40,960 up (2-core Xeon, numpy 2.4).
-_PAIR_MIN = 1 << 16
+# Symbols per piece of r=8 work: per flat gather, whose indices numpy
+# converts to an 8-byte-per-index buffer, and per translated piece,
+# whose copies stay below glibc's 128 KiB mmap threshold.  Eight
+# 256 KiB rows took 1.59 ns a symbol in 16 KiB pieces, 1.24 in 64 KiB
+# pieces and 1.19-1.21 in 128-256 KiB ones (medians of 15).
+_PIECE = 1 << 16
 
 
 @dataclass
@@ -141,40 +147,44 @@ def inverse(bt: BasisTables, evals: EvalVec,
     return CoeffVec(a[:, 0].tolist())
 
 
-def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Product of each row v[b] with the field scalar factors[b]."""
+def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray,
+             add_to: np.ndarray | None = None) -> np.ndarray:
+    """Product of each row v[b] with the field scalar factors[b].
+
+    Returned as a new array or, given add_to, added (XORed) into its rows,
+    which are returned: a butterfly's u += f * v with no product array.
+    """
     arrays = ft.arrays
-    out = np.empty(v.shape, dtype=arrays.exp.dtype)
     if ft.r == 16:
-        np.take(arrays.exp, arrays.log[v] + arrays.log[factors][:, None], out=out)
-        out[(v == 0) | (factors == 0)[:, None]] = 0
-        return out
+        product = np.take(arrays.exp, arrays.log[v] + arrays.log[factors][:, None])
+        product[(v == 0) | (factors == 0)[:, None]] = 0
+        return product if add_to is None else _add(add_to, product)
+    out = np.empty(v.shape, np.uint8) if add_to is None else add_to
+    store = np.copyto if add_to is None else _add
     rows, width = v.shape
-    paired = 0  # leading symbols of each row done through its pair table
-    if width >= _PAIR_MIN and v.strides[1] == 1:
-        paired = width & ~1
-        for b in range(rows):
-            # pair[(hi << 8) | lo] = f*hi << 8 | f*lo: symmetric in the two
-            # bytes, so right in either byte order of the uint16 views.
-            f = int(factors[b])
-            row = arrays.product[f << 8:(f + 1) << 8]
-            pair = ((row.astype(np.uint16) << 8)[:, None] | row).ravel()
-            v2 = v[b, :paired].view(np.uint16)
-            out2 = out[b, :paired].view(np.uint16)
-            for s in range(0, paired // 2, _CHUNK):
-                np.take(pair, v2[s:s + _CHUNK], out=out2[s:s + _CHUNK], mode="wrap")
-    # The flat gather takes the rest: every symbol of a narrow or strided
-    # row, and the last symbol of an odd-width paired one.
-    group = max(1, _CHUNK // max(width - paired, 1))
-    high = factors.astype(np.uint16)[:, None] << 8
+    tables = [arrays.product_rows[f] for f in factors.tolist()] \
+        if width >= _TRANSLATE_MIN else None
+    # pieces of about _PIECE symbols: several whole rows, or part of one
+    group, piece = max(1, _PIECE // max(width, 1)), max(1, min(width, _PIECE))
     for b in range(0, rows, group):
-        for s in range(paired, width, _CHUNK):
-            # For field symbols (f << 8) | v lies inside the 65,536-entry
-            # table, so mode="wrap" changes no result; it gathers faster
-            # than the default mode, which checks every index.
-            np.take(arrays.product, high[b:b + group] | v[b:b + group, s:s + _CHUNK],
-                    out=out[b:b + group, s:s + _CHUNK], mode="wrap")
+        for s in range(0, width, piece):
+            part = v[b:b + group, s:s + piece]
+            if tables is not None:
+                translated = [bytearray(row).translate(table)
+                              for row, table in zip(part, tables[b:b + group])]
+                product = np.frombuffer(b"".join(translated), np.uint8)
+            else:
+                # for field symbols (f << 8) | v lies inside the table, so
+                # mode="wrap" changes no result and skips the index checks
+                high = factors[b:b + group, None].astype(np.uint16) << 8
+                product = np.take(arrays.product, high | part, mode="wrap")
+            store(out[b:b + group, s:s + piece], product.reshape(part.shape))
     return out
+
+
+def _add(dest: np.ndarray, product: np.ndarray) -> np.ndarray:
+    dest ^= product
+    return dest
 
 
 def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
@@ -207,7 +217,7 @@ def forward_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
     """forward() on every column of an (h x stripes) array, in place."""
     for i in reversed(range(a.shape[0].bit_length() - 1)):
         u, v, factors, z = _level(bt, a, i, shift, ops)
-        u[z:] ^= mul_rows(bt.ft, v[z:], factors[z:])
+        mul_rows(bt.ft, v[z:], factors[z:], add_to=u[z:])
         v ^= u
 
 
@@ -217,7 +227,7 @@ def inverse_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
     for i in range(a.shape[0].bit_length() - 1):
         u, v, factors, z = _level(bt, a, i, shift, ops)
         v ^= u
-        u[z:] ^= mul_rows(bt.ft, v[z:], factors[z:])
+        mul_rows(bt.ft, v[z:], factors[z:], add_to=u[z:])
 
 
 def degree(coeffs: CoeffVec) -> int | None:

@@ -31,9 +31,9 @@ def mul_rows_work(monkeypatch):
         work = []
         original = module.mul_rows
 
-        def counting(ft, v, factors):
+        def counting(ft, v, factors, **kwargs):
             work.append(v.size)
-            return original(ft, v, factors)
+            return original(ft, v, factors, **kwargs)
 
         monkeypatch.setattr(module, "mul_rows", counting)
         return work

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from binfec.basis import build_basis_tables
@@ -142,11 +143,17 @@ def test_w_monomial_is_linearized(ft8):
 def test_table_arrays_are_read_only(request, r):
     # the tables are shared: one write would corrupt every later transform
     ft, bt = request.getfixturevalue(f"ft{r}"), request.getfixturevalue(f"bt{r}")
-    assert (ft.arrays.product is None) == (r == 16)
-    tables = [a for a in ft.arrays if a is not None] + bt.w_hat + [bt.b_prod, bt.b_prod_inv]
-    for a in tables:
+    assert (ft.arrays.product is None) == (ft.arrays.product_rows is None) == (r == 16)
+    arrays = [a for a in ft.arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == (4 if r == 8 else 3)
+    for a in arrays + bt.w_hat + [bt.b_prod, bt.b_prod_inv]:
         with pytest.raises(ValueError):
             a[0] = 1
+    if r == 8:  # the product rows are a tuple of read-only views
+        with pytest.raises(TypeError):
+            ft.arrays.product_rows[0] = bytes(256)
+        with pytest.raises(TypeError):
+            ft.arrays.product_rows[0][0] = 1
 
 
 def test_build_rejects_bad_max_h(ft8):

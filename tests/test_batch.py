@@ -8,7 +8,7 @@ from binfec.batch import BatchCodec, CodeParams, TooManyErasuresError
 from binfec.cli import _codec, _repair
 from binfec.rs import ErasurePattern, decode, encode
 from binfec.shardfile import bytes_to_stripes, stripes_to_bytes
-from binfec.transform import _CHUNK, OpCounter
+from binfec.transform import OpCounter
 
 from oracles import lagrange_eval
 
@@ -98,14 +98,15 @@ def _assert_parity_matches_lagrange(ft, k, msgs, enc, stripes, positions):
 
 
 def test_batch_multi_stripe_matches_lagrange_oracle(bt8, ft8):
-    # 1,023 stripes: one r=8 gather covers a group of rows, and the low
-    # levels take several groups; over _CHUNK stripes: every row is
-    # gathered in more than one chunk
+    # 1,023 stripes: the low levels' narrow rows take the flat gather,
+    # one gather a group of rows, and the wider ones are translated a
+    # group of rows a piece; 69,999 stripes: every row is translated in
+    # more than one piece, the last one ragged
     rng = np.random.default_rng(85)
     pyrng = random.Random(85)
     cp = CodeParams(8, 16)
     codec = BatchCodec(cp, bt8)
-    for stripes in (1_023, _CHUNK + 4_464):
+    for stripes in (1_023, 69_999):
         msgs = rng.integers(0, 256, (16, stripes), dtype=np.uint8)
         enc = codec.encode(msgs)
         assert (enc[:16] == msgs).all()
@@ -266,6 +267,7 @@ def test_repair_runs_at_the_subspace_its_survivors_span(monkeypatch, bt8, bt16, 
             known |= set(pyrng.sample(range(h // 2 if h > k else h), k - len(known)))
             extra = set(pyrng.sample(range(h, n), min(3, n - h)))
             survivors = {j: enc[j] for j in known | extra}
+            assert codec.repair_points(survivors) == h, (k, h)
             out, ops, nonzero = _counted_decode(monkeypatch, codec, survivors)
             assert (out == msgs).all(), (k, h)
             lost = k - len(known & set(range(k)))

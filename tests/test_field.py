@@ -91,6 +91,23 @@ def test_arrays_are_built_once_per_instance():
     assert arrays.inv[0] == 0
 
 
+def test_product_rows_are_built_once_with_the_tables():
+    # the 256-byte tables that the r=8 multiply hands to bytearray.translate:
+    # read-only views of the one product table that the flat gather reads
+    ft = tables_for(8)
+    rows = ft.arrays.product_rows
+    assert ft.arrays.product_rows is rows
+    assert tables_for(8).arrays.product_rows is not rows
+    assert isinstance(rows, tuple) and len(rows) == 256
+    product = ft.arrays.product.reshape(256, 256)
+    for f, row in enumerate(rows):
+        assert len(row) == row.nbytes == 256 and row.readonly, f
+        assert row.obj is ft.arrays.product.base, f
+        assert row == product[f].tobytes(), f
+    assert list(rows[0x53]) == [clmul_reduce(0x53, b, POLY8, 8) for b in range(256)]
+    assert tables_for(16).arrays.product_rows is None
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         tables_for(12)

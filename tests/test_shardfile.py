@@ -68,6 +68,13 @@ def test_code_params_is_the_one_geometry_value():
     assert {code: "found"}[CodeParams(8, 128)] == "found" and code != CodeParams(8, 64)
     for c, derived in ((code, (256, 1, 128, 4096)), (CodeParams(16, 32), (65_536, 2, 64, 8192))):
         assert (c.n, c.width, c.stripe_bytes, c.chunk_stripes) == derived, c
+    # a repair window holds an (h x stripes) array of at most 1 MiB: the
+    # k=128 repair at h = 256 keeps its whole chunk, a k=1 one at h = 256
+    # does not, and a repair at h <= 2k always does
+    assert [code.repair_stripes(h) for h in (128, 256)] == [4096, 4096]
+    assert [CodeParams(8, 1).repair_stripes(h) for h in (1, 2, 4, 256)] == \
+        [524_288, 524_288, 262_144, 4096]
+    assert CodeParams(16, 32).repair_stripes(1 << 16) == 8
 
 
 def test_code_params_checks_every_field_on_every_path():

@@ -328,3 +328,17 @@ def test_encode_peak_memory_does_not_grow_with_n_over_k(tmp_path):
         os.remove(shards / shard_filename(0))
         assert _decode(shards, tmp_path / f"k{k}.bin") == src.read_bytes(), k
     assert abs(peaks[1] - peaks[128]) <= 8, peaks
+
+
+def test_repair_far_above_k_decodes_in_bounded_memory(tmp_path):
+    # k=1 with shards 0-200 lost: the survivor used is 201, so the repair
+    # runs at h = 256 and a whole chunk's (h x stripes) array would be
+    # 128 MiB; the window shrinks to 4,096 stripes, 1 MiB
+    src, shards, out = tmp_path / "in.bin", tmp_path / "shards", tmp_path / "out.bin"
+    src.write_bytes(random.Random(135).randbytes(4 << 20))
+    _encode(src, shards, 8, 1)
+    for j in range(201):
+        os.remove(shards / shard_filename(j))
+    peak = _peak_rss_mib("decode", "--shards", shards, "--out", out)
+    assert peak < 64, peak
+    assert out.read_bytes() == src.read_bytes()

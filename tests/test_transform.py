@@ -10,8 +10,7 @@ from binfec import transform
 from binfec.basis import build_basis_tables
 from binfec.field import DEFAULT_POLY, SYMBOL_DTYPE, tables_for
 from binfec.transform import (
-    _CHUNK,
-    _PAIR_MIN,
+    _TRANSLATE_MIN,
     CoeffVec,
     EvalVec,
     OpCounter,
@@ -175,26 +174,38 @@ def _r8_cases(rng):
     def rows(width, n=3):
         return rng.integers(0, 256, (n, width), dtype=np.uint8)
     cases = [(f"width {w}", rows(w)) for w in (
-        0, 1, 257, _PAIR_MIN - 2, _PAIR_MIN - 1, _PAIR_MIN, _PAIR_MIN + 1,
-        2 * _CHUNK + 2, 2 * _CHUNK + 5)]  # the last two: several pair gathers a row
-    cases.append(("no rows", rows(_PAIR_MIN, n=0)))
-    cases.append(("zero symbols", np.zeros((3, _PAIR_MIN + 1), dtype=np.uint8)))
-    wide = rows(2 * _PAIR_MIN + 2)
+        0, 1, 257, _TRANSLATE_MIN - 1, _TRANSLATE_MIN, _TRANSLATE_MIN + 1,
+        65_534, 65_535, 65_536, 65_537, 131_074, 131_077)]
+    cases.append(("several translated pieces a row, ragged tail", rows(3 * 65_536 + 1_001)))
+    cases.append(("several translated groups of rows, ragged last group",
+                  rows(_TRANSLATE_MIN + 1, n=70)))
+    cases.append(("no rows", rows(65_536, n=0)))
+    cases.append(("zero symbols", np.zeros((3, 65_537), dtype=np.uint8)))
+    wide = rows(131_074)
     cases.append(("strided rows", wide[:, ::2]))
-    cases.append(("rows at odd byte offsets", wide[:, 1:_PAIR_MIN + 1]))
-    flat = rng.integers(0, 256, 3 * _PAIR_MIN + 1, dtype=np.uint8)
-    cases.append(("contiguous rows at odd byte offsets", flat[1:].reshape(3, _PAIR_MIN)))
+    cases.append(("rows at odd byte offsets", wide[:, 1:65_537]))
+    flat = rng.integers(0, 256, 3 * 65_536 + 1, dtype=np.uint8)
+    cases.append(("contiguous rows at odd byte offsets", flat[1:].reshape(3, 65_536)))
     return cases
 
 
 def test_mul_rows_r8_matches_the_oracle(ft8):
+    # factors 0, 1 and then random ones, into a new array and added into rows
     rng = np.random.default_rng(13)
     for name, v in _r8_cases(rng):
         before = v.copy()
-        factors = np.array([0, 1, rng.integers(2, 256)], dtype=np.uint8)[:len(v)]
+        factors = rng.integers(2, 256, len(v), dtype=np.uint8)
+        factors[:2] = [0, 1][:len(v)]
+        want = _oracle_mul_rows(8, v, factors)
         got = mul_rows(ft8, v, factors)
         assert got.shape == v.shape and got.dtype == np.uint8, name
-        assert (got == _oracle_mul_rows(8, v, factors)).all(), name
+        assert (got == want).all(), name
+        # rows laid out as a butterfly level's u half: every other row
+        pairs = rng.integers(0, 256, (len(v), 2, v.shape[1]), dtype=np.uint8)
+        expected = pairs ^ np.stack([want, np.zeros_like(want)], axis=1)
+        u = pairs[:, 0]
+        assert mul_rows(ft8, v, factors, add_to=u) is u, name
+        assert (pairs == expected).all(), name
         assert (v == before).all(), name
 
 
@@ -203,12 +214,17 @@ def test_mul_rows_r16_matches_the_oracle(ft16):
     v = rng.integers(0, 1 << 16, (4, 300), dtype=np.uint16)
     v[:, :3] = [0, 1, 0xFFFF]
     factors = np.array([0, 1, 2, 0xA5C3], dtype=np.uint16)
-    assert (mul_rows(ft16, v, factors) == _oracle_mul_rows(16, v, factors)).all()
+    want = _oracle_mul_rows(16, v, factors)
+    assert (mul_rows(ft16, v, factors) == want).all()
+    acc = rng.integers(0, 1 << 16, v.shape, dtype=np.uint16)
+    expected = acc ^ want
+    assert mul_rows(ft16, v, factors, add_to=acc) is acc
+    assert (acc == expected).all()
 
 
-def test_mul_rows_r8_holds_one_pair_table_at_a_time(ft8):
-    # Its output plus about 1 MiB: room for one 128 KiB pair table and one
-    # gather's index buffer, not for a table kept per factor.
+def test_mul_rows_r8_builds_no_table_and_holds_one_piece_at_a_time(ft8):
+    # Its output plus about 1 MiB: room for one translated piece and its
+    # copies, not for a table built per factor or a whole row's copies.
     rng = np.random.default_rng(8)
     v = rng.integers(0, 256, (8, 262_144), dtype=np.uint8)
     factors = rng.choice(np.arange(1, 256, dtype=np.uint8), 8, replace=False)
