@@ -46,9 +46,10 @@ from .shardfile import (
 )
 
 # This module and the ones above import no numpy and no dataclasses: a
-# decode that finds every data shard only interleaves their payloads, so
-# it loads cli, shardfile and field only.  Encode, the repair decode,
-# selftest and bench import numpy, the basis and the codec when they run.
+# decode that finds every data shard, or any shard at k=1, only
+# interleaves payloads, so it loads cli, shardfile and field only.
+# Encode, the repair decode, selftest and bench import numpy, the basis
+# and the codec when they run.
 
 
 def _shard_paths(folder: str) -> list[str]:
@@ -130,8 +131,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         raise InsufficientShardsError(
             f"have {len(shards)} usable shards, need at least {code.k}")
 
-    # systematic when every data shard is present: no field arithmetic
-    codec = None if all(j in shards for j in range(code.k)) else _codec(code)
+    # no field arithmetic when every data shard is present, or at k=1,
+    # where every shard holds the file (each block is a 1-point transform)
+    codec = None if code.k == 1 or all(j in shards for j in range(code.k)) else _codec(code)
     step, width = code.chunk_stripes, code.width
     if codec is not None:
         step = code.repair_stripes(codec.repair_points(shards))

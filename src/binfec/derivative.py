@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import BasisTables
-from .transform import CoeffVec, OpCounter, column, mul_rows
+from .transform import CoeffVec, OpCounter, column, mul_rows, symbols
 
 
 def derivative_direct(bt: BasisTables, coeffs: CoeffVec) -> CoeffVec:
@@ -73,9 +73,10 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
                          (h/2) lg h - (h - 1) at k = h (all but the last)
         multiplications  k (1 + lg h - lg k) + (nonzero outputs)
 
-    a is left as it is, in any memory layout; the result is a new
-    (k x stripes) array.
+    a is left as it is, in any memory layout and integer dtype; the
+    result is a new (k x stripes) array of symbols.
     """
+    a = symbols(bt.ft, a)
     h = a.shape[0]
     k = h if k is None else k
     if not 1 <= k <= h or k & (k - 1):

@@ -10,12 +10,13 @@ elem(a ^ b).  Every module above this one relies on that identity.
 Each supported width r has one fixed primitive reduction polynomial,
 DEFAULT_POLY[r], and one numpy symbol dtype, SYMBOL_DTYPE[r]: the
 little-endian r/8-byte integer that shard payloads store on disk and
-the row kernels compute in.  Scalar multiplication and inversion go
-through full log/exp lists.  log[0] is stored as 0; the zero element
-is handled by explicit branches, never by the table.
-FieldTables.arrays holds the same tables as the read-only numpy arrays
-the row kernels read; they are built with the tables, and this module
-imports numpy only inside FieldTables.__init__.
+the only dtype the row kernels take.  Scalar multiplication and
+inversion go through full log/exp lists.  log[0] is stored as 0; the
+zero element is handled by explicit branches, never by the table.
+FieldTables.arrays holds the read-only tables the row kernels read,
+the same log/exp tables as numpy arrays and, at r=8, the product table
+as bytes; they are built with the tables, and this module imports numpy
+only inside FieldTables.__init__.
 """
 
 from __future__ import annotations
@@ -44,17 +45,15 @@ class FieldArrays(NamedTuple):
 
     exp holds the exp table twice over, so exp[log[a] + log[b]] needs no
     modular reduction; log is int32, log[0] = 0; inv[a] is a's inverse,
-    inv[0] = 0.  product, at r=8 only, is the 256 x 256 product table
-    flattened, entry (a << 8) | b holding a * b; product_rows holds its
-    rows, read-only 256-byte views of the same bytes with
-    product_rows[a][b] = a * b, the tables that bytearray.translate
-    takes.  Both are None at r=16.
+    inv[0] = 0.  product_rows, at r=8 only, holds the 256 rows of the
+    product table, read-only 256-byte views of one 65,536-byte buffer
+    with product_rows[a][b] = a * b, the tables that bytearray.translate
+    takes; it is None at r=16.
     """
 
     exp: np.ndarray
     log: np.ndarray
     inv: np.ndarray
-    product: np.ndarray | None
     product_rows: tuple[memoryview, ...] | None
 
 
@@ -62,8 +61,8 @@ class FieldTables:
     """Immutable log/exp tables for one GF(2^r) instance.
 
     exp[j] = ALPHA^j for j in [0, 2^r - 1); log[exp[j]] = j.  arrays
-    holds the log, exp, inverse and (at r=8) product tables as read-only
-    numpy arrays, and the product table's rows as read-only bytes views.
+    holds the log, exp and inverse tables as read-only numpy arrays and,
+    at r=8, the product table's rows as read-only bytes views.
     Safe to share across threads.
     """
 
@@ -81,19 +80,15 @@ class FieldTables:
         log_a = np.array(log, dtype=np.int32)
         inv = exp_a[m - log_a]
         inv[0] = 0
-        product = product_rows = None
+        product_rows = None
         if r == 8:
             product = exp_a[log_a[:, None] + log_a[None, :]]
             product[0, :] = product[:, 0] = 0
-            # one table: the gather reads it as an array, translate by row
-            flat = product.tobytes()
-            product = np.frombuffer(flat, np.uint8)
-            view = memoryview(flat)
+            view = memoryview(product.tobytes())  # bytes: the views are read-only
             product_rows = tuple(view[f << 8:(f + 1) << 8] for f in range(256))
-        for a in (exp_a, log_a, inv, product):
-            if a is not None:
-                a.flags.writeable = False
-        self.arrays = FieldArrays(exp_a, log_a, inv, product, product_rows)
+        for a in (exp_a, log_a, inv):
+            a.flags.writeable = False
+        self.arrays = FieldArrays(exp_a, log_a, inv, product_rows)
 
     def mul(self, a: int, b: int) -> int:
         """Field multiplication via log/exp lookup."""

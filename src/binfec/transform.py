@@ -20,28 +20,21 @@ its v += u runs.  The array must be C-contiguous,
 so that each reshape is a view of it.  forward() and inverse() are
 their one-column view, list in and list out.
 
-Symbols are SYMBOL_DTYPE[r]: uint8 at r=8, uint16 at r=16.  The
-kernels read the butterfly factors BasisTables.w_hat and the field
-tables FieldTables.arrays, read-only arrays each built once by the
-object that owns it.  Multiplying rows by constants takes one of three
-routes, chosen by field width and row width.  At r=8 a row at least
-_TRANSLATE_MIN = 2,048 symbols wide is copied into a bytearray and
-translated through FieldArrays.product_rows[f], the 256 bytes of its
+Symbols are SYMBOL_DTYPE[r]: uint8 at r=8, uint16 at r=16, and the
+kernels reject rows of any other dtype before writing anything.  They
+read the butterfly factors BasisTables.w_hat and the field tables
+FieldTables.arrays, read-only arrays each built once by the object that
+owns it.  At r=8, mul_rows copies each row into a bytearray and
+translates it through FieldArrays.product_rows[f], the 256 bytes of its
 factor f times every symbol: one C byte-table lookup per symbol, with
 no index buffer and no table built per call.  Rows are translated in
 pieces of about _PIECE bytes (several whole rows, or part of a wide
 one), and each piece is stored into the output or, for a butterfly,
-XORed straight into u.  Each translate costs about 2 us a call, so a
-narrower row takes the flat route instead: the 256 x 256 product table
-gathered at the flat index (f << 8) | v, one gather covering as many
-whole rows as fit in _PIECE symbols, so the many short blocks of a
-one-column call cost a few calls per level.  The two routes tie at
-1,024 symbols a row; at 2,048 translate is 1.3x faster, at 4,096 1.6x
-and at 32,768 1.8x (2-core Xeon, CPython 3.11, numpy 2.4, half-MiB
-butterfly levels, medians of 41 alternating calls).  At r=16 a product
-table would not fit, so the multiply adds logs and looks the sum up in
-the exp table stored twice over, so no modular reduction is needed;
-zero operands are masked explicitly.
+XORed straight into u.  Each row costs 0.5-1 us beyond its 0.5 ns a
+byte, which a one-column call pays on every one of its short rows.  At
+r=16 a product table would not fit, so the multiply adds logs and
+looks the sum up in the exp table stored twice over, so no modular
+reduction is needed; zero operands are masked explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
 additions and multiplications the kernels execute, level by level, so
@@ -61,15 +54,10 @@ import numpy as np
 from .basis import BasisTables
 from .field import SYMBOL_DTYPE, FieldTables
 
-# Narrowest r=8 row multiplied through bytearray.translate (the
-# crossover is measured in the module docstring).
-_TRANSLATE_MIN = 1 << 11
-
-# Symbols per piece of r=8 work: per flat gather, whose indices numpy
-# converts to an 8-byte-per-index buffer, and per translated piece,
-# whose copies stay below glibc's 128 KiB mmap threshold.  Eight
-# 256 KiB rows took 1.59 ns a symbol in 16 KiB pieces, 1.24 in 64 KiB
-# pieces and 1.19-1.21 in 128-256 KiB ones (medians of 15).
+# Symbols per translated piece of r=8 work, whose copies stay below
+# glibc's 128 KiB mmap threshold.  Eight 256 KiB rows took 1.59 ns a
+# symbol in 16 KiB pieces, 1.24 in 64 KiB pieces and 1.19-1.21 in
+# 128-256 KiB ones (medians of 15).
 _PIECE = 1 << 16
 
 
@@ -106,7 +94,7 @@ def symbols(ft: FieldTables, a: np.ndarray) -> np.ndarray:
     """a in ft's symbol dtype; in another dtype, every value must lie in [0, 2^r).
 
     A wider dtype can hold values outside the field, which the table
-    gathers would read as other entries: those are rejected, and so is
+    lookups would read as other entries: those are rejected, and so is
     a dtype that is not integer (float, bool, object), which a cast
     would truncate.
     """
@@ -154,6 +142,7 @@ def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray,
     Returned as a new array or, given add_to, added (XORed) into its rows,
     which are returned: a butterfly's u += f * v with no product array.
     """
+    _check_symbols(ft, v)
     arrays = ft.arrays
     if ft.r == 16:
         product = np.take(arrays.exp, arrays.log[v] + arrays.log[factors][:, None])
@@ -162,24 +151,24 @@ def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray,
     out = np.empty(v.shape, np.uint8) if add_to is None else add_to
     store = np.copyto if add_to is None else _add
     rows, width = v.shape
-    tables = [arrays.product_rows[f] for f in factors.tolist()] \
-        if width >= _TRANSLATE_MIN else None
+    tables = [arrays.product_rows[f] for f in factors.tolist()]
     # pieces of about _PIECE symbols: several whole rows, or part of one
     group, piece = max(1, _PIECE // max(width, 1)), max(1, min(width, _PIECE))
     for b in range(0, rows, group):
         for s in range(0, width, piece):
             part = v[b:b + group, s:s + piece]
-            if tables is not None:
-                translated = [bytearray(row).translate(table)
-                              for row, table in zip(part, tables[b:b + group])]
-                product = np.frombuffer(b"".join(translated), np.uint8)
-            else:
-                # for field symbols (f << 8) | v lies inside the table, so
-                # mode="wrap" changes no result and skips the index checks
-                high = factors[b:b + group, None].astype(np.uint16) << 8
-                product = np.take(arrays.product, high | part, mode="wrap")
+            translated = [bytearray(row).translate(table)
+                          for row, table in zip(part, tables[b:b + group])]
+            product = np.frombuffer(b"".join(translated), np.uint8)
             store(out[b:b + group, s:s + piece], product.reshape(part.shape))
     return out
+
+
+def _check_symbols(ft: FieldTables, a: np.ndarray) -> None:
+    # another dtype would be misread: at r=8, translate reads its bytes
+    if a.dtype != SYMBOL_DTYPE[ft.r]:
+        raise ValueError(f"row kernels take {np.dtype(SYMBOL_DTYPE[ft.r])} symbols "
+                         f"at r={ft.r}, got dtype {a.dtype}")
 
 
 def _add(dest: np.ndarray, product: np.ndarray) -> np.ndarray:
@@ -197,6 +186,7 @@ def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
     if not a.flags.c_contiguous:
         # reshape would copy, and the level would be lost in the copy
         raise ValueError("row kernels transform C-contiguous arrays in place")
+    _check_symbols(bt.ft, a)
     h = a.shape[0]
     blocks = h >> (i + 1)
     pairs = a.reshape(blocks, 2, a.size // (2 * blocks))

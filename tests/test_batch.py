@@ -98,10 +98,9 @@ def _assert_parity_matches_lagrange(ft, k, msgs, enc, stripes, positions):
 
 
 def test_batch_multi_stripe_matches_lagrange_oracle(bt8, ft8):
-    # 1,023 stripes: the low levels' narrow rows take the flat gather,
-    # one gather a group of rows, and the wider ones are translated a
-    # group of rows a piece; 69,999 stripes: every row is translated in
-    # more than one piece, the last one ragged
+    # 1,023 stripes: every row is translated, a group of rows a piece;
+    # 69,999 stripes: every row is translated in more than one piece,
+    # the last one ragged
     rng = np.random.default_rng(85)
     pyrng = random.Random(85)
     cp = CodeParams(8, 16)

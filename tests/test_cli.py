@@ -77,12 +77,8 @@ HEALTHY_DECODE_DENIED = {
 }
 
 
-def test_healthy_decode_imports_only_what_it_runs(tmp_path):
-    data = random.Random(108).randbytes(3000)
-    outdir = _encode(tmp_path, data, k=16)
-    for idx in range(16, 256, 3):
-        os.remove(outdir / shard_filename(idx))
-    out = tmp_path / "out.bin"
+def _assert_decode_imports_no_codec(outdir, out):
+    """Decode outdir to out in a fresh interpreter that loads no numpy or codec."""
     # the entry point of `python -m binfec.cli`; only modules that are new
     # after the snapshot count, so whatever site preloads is not blamed
     code = ("import runpy, sys\n"
@@ -97,6 +93,27 @@ def test_healthy_decode_imports_only_what_it_runs(tmp_path):
     assert sorted(m for m in new if m in HEALTHY_DECODE_DENIED or m.startswith("numpy.")) == []
     assert {m for m in new if m.startswith("binfec")} == {
         "binfec", "binfec.shardfile", "binfec.field"}  # binfec.cli runs as __main__
+
+
+def test_healthy_decode_imports_only_what_it_runs(tmp_path):
+    data = random.Random(108).randbytes(3000)
+    outdir = _encode(tmp_path, data, k=16)
+    for idx in range(16, 256, 3):
+        os.remove(outdir / shard_filename(idx))
+    out = tmp_path / "out.bin"
+    _assert_decode_imports_no_codec(outdir, out)
+    assert out.read_bytes() == data
+
+
+def test_k1_decode_copies_a_survivor_without_numpy(tmp_path):
+    # at k=1 each block is a 1-point transform, so every shard's payload
+    # is the file: the lowest survivor is copied out, with no repair
+    data = random.Random(109).randbytes(70_001)
+    outdir = _encode(tmp_path, data, k=1)
+    for idx in range(201):
+        os.remove(outdir / shard_filename(idx))
+    out = tmp_path / "out.bin"
+    _assert_decode_imports_no_codec(outdir, out)
     assert out.read_bytes() == data
 
 

@@ -331,12 +331,12 @@ def test_encode_peak_memory_does_not_grow_with_n_over_k(tmp_path):
 
 
 def test_repair_far_above_k_decodes_in_bounded_memory(tmp_path):
-    # k=1 with shards 0-200 lost: the survivor used is 201, so the repair
-    # runs at h = 256 and a whole chunk's (h x stripes) array would be
-    # 128 MiB; the window shrinks to 4,096 stripes, 1 MiB
+    # k=2 with shards 0-200 lost: the survivors used are 201 and 202, so
+    # the repair runs at h = 256 and a whole chunk's (h x stripes) array
+    # would be 64 MiB; the window shrinks to 4,096 stripes, 1 MiB
     src, shards, out = tmp_path / "in.bin", tmp_path / "shards", tmp_path / "out.bin"
-    src.write_bytes(random.Random(135).randbytes(4 << 20))
-    _encode(src, shards, 8, 1)
+    src.write_bytes(random.Random(135).randbytes(1 << 20))
+    _encode(src, shards, 8, 2)
     for j in range(201):
         os.remove(shards / shard_filename(j))
     peak = _peak_rss_mib("decode", "--shards", shards, "--out", out)

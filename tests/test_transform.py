@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from binfec import transform
 from binfec.basis import build_basis_tables
+from binfec.derivative import derivative_rows
 from binfec.field import DEFAULT_POLY, SYMBOL_DTYPE, tables_for
 from binfec.transform import (
-    _TRANSLATE_MIN,
     CoeffVec,
     EvalVec,
     OpCounter,
@@ -170,15 +170,16 @@ def _oracle_mul_rows(r, v, factors):
 
 
 def _r8_cases(rng):
-    """(name, rows view) pairs: each route, its edges, and awkward layouts."""
+    """(name, rows view) pairs: narrow and wide rows, piece edges, awkward layouts."""
     def rows(width, n=3):
         return rng.integers(0, 256, (n, width), dtype=np.uint8)
     cases = [(f"width {w}", rows(w)) for w in (
-        0, 1, 257, _TRANSLATE_MIN - 1, _TRANSLATE_MIN, _TRANSLATE_MIN + 1,
+        0, 1, 257, 2_047, 2_048, 2_049,
         65_534, 65_535, 65_536, 65_537, 131_074, 131_077)]
     cases.append(("several translated pieces a row, ragged tail", rows(3 * 65_536 + 1_001)))
-    cases.append(("several translated groups of rows, ragged last group",
-                  rows(_TRANSLATE_MIN + 1, n=70)))
+    cases.append(("several translated groups of rows, ragged last group", rows(2_049, n=70)))
+    cases.append(("one symbol a row, as in a one-column call", rows(1, n=1_000)))
+    cases.append(("groups of 32 rows, a last group of one row", rows(2_047, n=33)))
     cases.append(("no rows", rows(65_536, n=0)))
     cases.append(("zero symbols", np.zeros((3, 65_537), dtype=np.uint8)))
     wide = rows(131_074)
@@ -220,6 +221,30 @@ def test_mul_rows_r16_matches_the_oracle(ft16):
     expected = acc ^ want
     assert mul_rows(ft16, v, factors, add_to=acc) is acc
     assert (acc == expected).all()
+
+
+@pytest.mark.parametrize("width", (1, 2_047, 2_048))
+def test_row_kernels_take_only_the_symbol_dtype(bt8, width):
+    # translate reads a row's bytes, so uint16 rows at r=8 would be read
+    # two bytes a symbol: the kernels refuse them at every width, before
+    # writing anything, and derivative_rows, which writes no input, converts
+    rng = np.random.default_rng(width)
+    a = rng.integers(0, 256, (16, width), dtype=np.uint16)
+    before = a.copy()
+    acc = rng.integers(0, 256, (16, width), dtype=np.uint8)
+    acc_before = acc.copy()
+    factors = rng.integers(1, 256, 16, dtype=np.uint8)
+    with pytest.raises(ValueError, match="got dtype uint16"):
+        mul_rows(bt8.ft, a, factors)
+    with pytest.raises(ValueError, match="got dtype uint16"):
+        mul_rows(bt8.ft, a, factors, add_to=acc)
+    for kernel in (forward_rows, inverse_rows):
+        with pytest.raises(ValueError, match="got dtype uint16"):
+            kernel(bt8, a, 0)
+    assert (a == before).all() and (acc == acc_before).all()
+    got = derivative_rows(bt8, a)
+    assert got.dtype == np.uint8
+    assert (got == derivative_rows(bt8, a.astype(np.uint8))).all()
 
 
 def test_mul_rows_r8_builds_no_table_and_holds_one_piece_at_a_time(ft8):
