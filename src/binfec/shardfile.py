@@ -28,11 +28,13 @@ row.
 
 Files are read and written one chunk of about CHUNK_BYTES of file
 bytes at a time: read_chunks reads the input into one reused buffer,
-append_shards, the one writer, writes a run of a chunk's rows (an
-encode's k-row block) at their offset in their shards, and Shard.read
-reads one window of a shard's payload.  A shard file is opened for one
-chunk's access and closed again, so the number of open files stays one
-however large n is.
+and Shard.read reads one window of a shard's payload.  An encode writes
+its shards in three passes: create_shards creates or empties all n
+files, append_shards writes a run of a chunk's rows (an encode's k-row
+block) at their offset in their shards, in any chunk order and from
+any process, and write_headers writes the n headers last.  A shard
+file is opened for one access and closed again, so the number of open
+files stays one however large n is.
 Every open is non-blocking, so a FIFO at a shard's name fails at once:
 a decode skips it with a note and an encode stops with an error.
 
@@ -255,7 +257,8 @@ def read_chunks(fh, code: CodeParams):
             return
 
 
-def _pwrite(fd: int, data, offset: int) -> None:
+def pwrite_all(fd: int, data, offset: int) -> None:
+    """Write all of data to fd at offset, whatever os.pwrite returns."""
     # os.pwrite may write less than it was given; write the rest
     view = _byte_view(data)
     while view:
@@ -263,29 +266,45 @@ def _pwrite(fd: int, data, offset: int) -> None:
         view, offset = view[written:], offset + written
 
 
-def append_shards(outdir: str, rows, first: int, offset: int,
-                  header: ShardHeader | None = None) -> None:
+def _write_shard(outdir: str, index: int, data, offset: int, create: bool = False) -> None:
+    # opened for this one write, so at most one shard is open at a time
+    # (n reaches 65,536); create also empties the file
+    flags = os.O_WRONLY | os.O_NONBLOCK | (os.O_CREAT | os.O_TRUNC if create else 0)
+    fd = os.open(os.path.join(outdir, shard_filename(index)), flags, 0o666)
+    try:
+        pwrite_all(fd, data, offset)
+    finally:
+        os.close(fd)
+
+
+def create_shards(outdir: str, code: CodeParams) -> None:
+    """Create, or empty, the n shard files of an encode, before any is written."""
+    for j in range(code.n):
+        _write_shard(outdir, j, b"", 0, create=True)
+
+
+def append_shards(outdir: str, rows, first: int, offset: int) -> None:
     """Write rows[i] into shard file first + i at payload offset.
 
     rows is a run of codeword rows, such as one k-row block of an
     encode: row i is shard first + i's payload for the chunk's stripes.
-    offset is the payload bytes each shard holds already; 0 creates (or
-    empties) each file written.  header, given with the file's last
-    chunk, is written at the start of each file.  Until then each file's
-    first HEADER_SIZE bytes are left unwritten, so they read as zeros,
-    which no decode accepts: the shards of an encode that stops early
-    are unreadable, not wrong.  Each file is opened for its row only, so
-    one shard at most is open at a time (n reaches 65,536).
+    offset is the payload bytes each shard holds before the chunk.  The
+    files exist already (create_shards), and chunks may be written in
+    any order, by any process.  The first HEADER_SIZE bytes are left
+    unwritten, so they read as zeros, which no decode accepts.
     """
-    flags = os.O_WRONLY | os.O_NONBLOCK | (os.O_CREAT | os.O_TRUNC if offset == 0 else 0)
     for j, row in enumerate(rows, first):
-        fd = os.open(os.path.join(outdir, shard_filename(j)), flags, 0o666)
-        try:
-            if header is not None:
-                _pwrite(fd, header._replace(shard_index=j).pack(), 0)
-            _pwrite(fd, row, HEADER_SIZE + offset)
-        finally:
-            os.close(fd)
+        _write_shard(outdir, j, row, HEADER_SIZE + offset)
+
+
+def write_headers(outdir: str, header: ShardHeader) -> None:
+    """Write the header of each of the n shards, the last step of an encode.
+
+    Until then every shard reads as unreadable: the shards of an encode
+    that stops early are unreadable, not wrong.
+    """
+    for j in range(header.code.n):
+        _write_shard(outdir, j, header._replace(shard_index=j).pack(), 0)
 
 
 def _probe(path: str, offset: int = 0, size: int = 0) -> tuple[bytes, int, bytes]:

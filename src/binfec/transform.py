@@ -171,6 +171,14 @@ def _check_symbols(ft: FieldTables, a: np.ndarray) -> None:
                          f"at r={ft.r}, got dtype {a.dtype}")
 
 
+def _check_in_place(ft: FieldTables, a: np.ndarray) -> None:
+    # checked before the level loop, which an h = 1 array never enters
+    if not a.flags.c_contiguous:
+        # reshape would copy, and the level would be lost in the copy
+        raise ValueError("row kernels transform C-contiguous arrays in place")
+    _check_symbols(ft, a)
+
+
 def _add(dest: np.ndarray, product: np.ndarray) -> np.ndarray:
     dest ^= product
     return dest
@@ -183,10 +191,6 @@ def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
     z is 1 when block 0's factor is zero, as it is at shift 0, and the
     kernels skip that block's multiply; else 0.
     """
-    if not a.flags.c_contiguous:
-        # reshape would copy, and the level would be lost in the copy
-        raise ValueError("row kernels transform C-contiguous arrays in place")
-    _check_symbols(bt.ft, a)
     h = a.shape[0]
     blocks = h >> (i + 1)
     pairs = a.reshape(blocks, 2, a.size // (2 * blocks))
@@ -205,6 +209,7 @@ def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
 def forward_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
                  ops: OpCounter | None = None) -> None:
     """forward() on every column of an (h x stripes) array, in place."""
+    _check_in_place(bt.ft, a)
     for i in reversed(range(a.shape[0].bit_length() - 1)):
         u, v, factors, z = _level(bt, a, i, shift, ops)
         mul_rows(bt.ft, v[z:], factors[z:], add_to=u[z:])
@@ -214,6 +219,7 @@ def forward_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
 def inverse_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
                  ops: OpCounter | None = None) -> None:
     """inverse() on every column of an (h x stripes) array, in place."""
+    _check_in_place(bt.ft, a)
     for i in range(a.shape[0].bit_length() - 1):
         u, v, factors, z = _level(bt, a, i, shift, ops)
         v ^= u

@@ -1,4 +1,11 @@
+import os
+
 import pytest
+
+# As binfec.cli.main does before numpy loads: tests call main in this
+# process, and its encode and repair fork worker processes, which is
+# safe only while OpenBLAS starts no threads of its own.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from binfec.basis import build_basis_tables
 from binfec.field import tables_for

@@ -12,9 +12,11 @@ from binfec.shardfile import (
     ShardHeader,
     append_shards,
     bytes_to_stripes,
+    create_shards,
     read_shards,
     shard_filename,
     stripes_to_bytes,
+    write_headers,
 )
 
 
@@ -187,8 +189,35 @@ def _write_shards(outdir, header, codewords):
     """Shard files holding the rows of (n x stripes) codewords, in one chunk; their paths."""
     assert codewords.dtype == SYMBOL_DTYPE[header.code.r]  # append_shards writes rows as stored
     os.makedirs(outdir, exist_ok=True)
-    append_shards(outdir, codewords, 0, 0, header)
+    create_shards(outdir, header.code)
+    append_shards(outdir, codewords, 0, 0)
+    write_headers(outdir, header)
     return [os.path.join(outdir, shard_filename(j)) for j in range(len(codewords))]
+
+
+def test_shards_written_in_any_chunk_order_read_only_once_headed(tmp_path):
+    # an encode's workers append chunks in any order; until the headers
+    # are written last, every shard reads as zeros where its header goes
+    rng = np.random.default_rng(93)
+    header = _header(k=4, original_length=4 * 5)  # 5 stripes: chunks of 3 and 2
+    codewords = rng.integers(0, 256, (256, 5), dtype=np.uint8)
+    outdir = str(tmp_path)
+    create_shards(outdir, header.code)
+    append_shards(outdir, codewords[:, 3:], 0, 3)
+    append_shards(outdir, codewords[:, :3], 0, 0)
+    paths = [os.path.join(outdir, shard_filename(j)) for j in range(256)]
+    with open(paths[7], "rb") as fh:
+        assert fh.read(HEADER_SIZE) == bytes(HEADER_SIZE)
+    with pytest.raises(InsufficientShardsError):
+        read_shards(paths)
+    write_headers(outdir, header)
+    consensus, columns, skipped = read_shards(paths)
+    assert (consensus, skipped) == (header, [])
+    for j in columns:
+        assert _payload(columns[j]) == codewords[j].tobytes()
+    # creating again empties every file
+    create_shards(outdir, header.code)
+    assert {os.path.getsize(p) for p in paths} == {0}
 
 
 def test_write_and_read_shards_round_trip(tmp_path):

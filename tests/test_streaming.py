@@ -11,6 +11,7 @@ import pytest
 
 import binfec
 import binfec.batch as batch
+import binfec.cli as cli
 import binfec.shardfile as shardfile
 from binfec.batch import BatchCodec, CodeParams
 from binfec.cli import main
@@ -59,6 +60,8 @@ def test_chunk_boundaries_change_nothing(tmp_path, monkeypatch, locator_calls, b
                                          r, k, chunk):
     if chunk is not None:
         monkeypatch.setattr(shardfile, "CHUNK_BYTES", chunk)
+    # locator_calls counts this process's calls only, so it does all the work
+    monkeypatch.setattr(cli, "_worker_count", lambda chunks: 1)
     size_of_chunk = shardfile.CHUNK_BYTES
     code = CodeParams(r, k)
     codec = BatchCodec(code, bt8 if r == 8 else bt16)

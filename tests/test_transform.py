@@ -241,6 +241,9 @@ def test_row_kernels_take_only_the_symbol_dtype(bt8, width):
     for kernel in (forward_rows, inverse_rows):
         with pytest.raises(ValueError, match="got dtype uint16"):
             kernel(bt8, a, 0)
+        # a 1-point transform has no level, and is refused all the same
+        with pytest.raises(ValueError, match="got dtype uint16"):
+            kernel(bt8, a[:1].copy(), 0)
     assert (a == before).all() and (acc == acc_before).all()
     got = derivative_rows(bt8, a)
     assert got.dtype == np.uint8
