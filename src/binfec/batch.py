@@ -17,17 +17,17 @@ computed into one reused buffer: the CLI writes each block to its
 shards before the next is computed, so an encode holds one block, not
 n/k of them.  encode copies the blocks into one (n x stripes) array.
 
-Decoding takes only the surviving rows, as a {position: row} map, and
-uses the k lowest-index ones.  If every data position survives, its
-rows are the message.  Otherwise let h be the smallest power of two
-(at least k) whose prefix [0, h) holds those k survivors: [0, h) is a
-subspace, and the code restricted to it is an (h, k) Reed-Solomon code
-in the same basis, with every other position of [0, h) erased.  The
-survivors, each scaled by the erasure locator, are evaluations of the
-product F * locator, which is zero at every erased point.  One h-point
-inverse transform, the formal derivative's first k coefficients, and
-one k-point forward transform later, each lost data value falls out as
-F'hat(j) / locator'(j): O(h lg h) total, n lg n at most.
+Decoding repairs from k survivors, planned once for any number of
+stripes by repair(positions): h is the smallest power of two (at least
+k) whose prefix [0, h) holds them.  [0, h) is a subspace, and the code
+restricted to it is an (h, k) Reed-Solomon code in the same basis, with
+every other position of [0, h) erased.  At h = k the survivors are the
+message.  Otherwise they, each scaled by the erasure locator (computed
+once, in the plan), are evaluations of the product F * locator, which
+is zero at every erased point.  One h-point inverse transform, the
+formal derivative's first k coefficients, and one k-point forward
+transform later, each lost data value falls out as
+F'hat(j) / locator'(j): O(h lg h) a stripe, n lg n at most.
 
 Every step is a row kernel of binfec.transform or binfec.derivative.
 This is the only copy of the pipeline: binfec.rs.encode and decode are
@@ -65,10 +65,6 @@ class BatchCodec:
         self.bt = bt
         self.ft = bt.ft
         self.dtype = np.dtype(SYMBOL_DTYPE[cp.r])
-        # (survivor positions used, erased mask, locator_values) of the
-        # last repair: a file's chunks repeat one survivor set, and the
-        # locator costs about 9 ms at r=16.
-        self._locator: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     # -- phases over rows (row j = codeword position j), one method each
     # so that perfbench/trace.py can time them by name ------------------
@@ -125,17 +121,50 @@ class BatchCodec:
             out[first:first + self.cp.k] = block
         return out
 
-    def repair_points(self, positions: Iterable[int]) -> int:
-        """h of a decode from these survivor positions, k or more of them.
+    def repair(self, positions: Iterable[int]):
+        """Plan a repair from the k distinct survivor positions a decode uses: (h, rebuild).
 
         h is the smallest power of two, at least k, whose prefix [0, h)
-        holds the k lowest positions: the code restricted to that
-        subspace is an (h, k) code in the same basis, and a repair runs
-        its transforms at h points.  h is k exactly when those are the
-        k data positions, which decode returns with no arithmetic.
+        holds them.  At h = k they are the data positions and rebuild is
+        None.  Otherwise rebuild(rows, ops=None) maps their (k x stripes)
+        rows, in position order and the codec's dtype, to the k data rows;
+        ops, if given, also counts the locator scaling (one multiplication
+        per survivor) and the division (one per lost data row), per stripe.
         """
-        last = sorted(positions)[self.cp.k - 1]
-        return max(self.cp.k, 1 << int(last).bit_length())
+        n, k = self.cp.n, self.cp.k
+        positions = sorted(positions)
+        if len(set(positions)) != k or len(positions) != k or \
+                not 0 <= positions[0] <= positions[-1] < n:
+            raise ValueError(f"a repair takes {k} distinct positions in [0, {n})")
+        h = max(k, 1 << int(positions[-1]).bit_length())
+        if h == k:  # every data row survives
+            return h, None
+
+        known = np.array(positions)
+        erased = np.setdiff1d(np.arange(h), known)
+        loc = locator_values(self.ft, erased, h)
+        lost, kept = erased[erased < k], known[known < k]  # data positions
+        scale, divide = loc[known], self.ft.arrays.inv[loc[lost]]
+
+        def rebuild(rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
+            width = rows.shape[1]
+            # Erased points are the locator's roots, so their rows stay zero.
+            phi = np.zeros((h, width), dtype=self.dtype)
+            phi[known] = mul_rows(self.ft, rows, scale)
+            self._inverse_inplace(phi, 0, ops)
+            # X_i for i >= k vanishes on [0, k): only the derivative's
+            # first k coefficients reach the lost data points.
+            dcoeffs = self._derivative(phi, ops)
+            del phi
+            self._forward_inplace(dcoeffs, 0, ops)
+            out = np.empty((k, width), dtype=self.dtype)
+            out[kept] = rows[:len(kept)]
+            out[lost] = mul_rows(self.ft, dcoeffs[lost], divide)
+            if ops is not None:
+                ops.muls += (k + len(lost)) * width
+            return out
+
+        return h, rebuild
 
     def decode(self, survivors: Mapping[int, np.ndarray],
                ops: OpCounter | None = None) -> np.ndarray:
@@ -144,16 +173,8 @@ class BatchCodec:
         survivors maps codeword positions in [0, n) to 1-D rows of equal
         length: row j holds position j of every stripe.  Any k or more
         survivors decode, and every row is checked, but only the k
-        lowest-index ones are used, so only those are converted to the
-        codec's dtype and gathered.  When every data position survives,
-        its rows are returned with no field arithmetic and ops is left
-        as it is.  Otherwise the repair runs an h-point inverse
-        transform, h = repair_points(survivors), and a k-point forward
-        transform; ops, if given, also counts the locator scaling (one
-        multiplication per survivor used) and the final division (one
-        per lost data row), per stripe.  A repair that uses the same
-        survivor positions as the one before, as every chunk of a
-        streamed file does, reuses its erasure locator.
+        lowest-index ones are converted to the codec's dtype and
+        repaired; if they are the data rows, ops is left as it is.
         """
         n, k = self.cp.n, self.cp.k
         if not all(0 <= j < n for j in survivors):
@@ -171,32 +192,5 @@ class BatchCodec:
         if wider := [row for row in rows[k:] if row.dtype != self.dtype]:
             symbols(self.ft, np.concatenate(wider))
         rows = self._symbols(np.concatenate(rows[:k]).reshape(k, width))
-        h = self.repair_points(positions[:k])
-        if h == k:  # every data row survives
-            return rows
-
-        known = np.array(positions[:k])
-        key, memo = known.tobytes(), self._locator
-        if memo is None or memo[0] != key:
-            erased = np.ones(h, dtype=bool)
-            erased[known] = False
-            memo = self._locator = key, erased, locator_values(self.ft, np.flatnonzero(erased), h)
-        _, erased, loc = memo
-        # Erased points are the locator's roots, so their rows stay zero.
-        phi = np.zeros((h, width), dtype=self.dtype)
-        phi[known] = mul_rows(self.ft, rows, loc[known])
-        self._inverse_inplace(phi, 0, ops)
-        # X_i for i >= k vanishes on [0, k): only the derivative's first
-        # k coefficients reach the lost data points.
-        dcoeffs = self._derivative(phi, ops)
-        del phi
-        self._forward_inplace(dcoeffs, 0, ops)
-
-        lost = np.flatnonzero(erased[:k])
-        kept = k - len(lost)  # known[:kept] are the surviving data rows
-        out = np.empty((k, width), dtype=self.dtype)
-        out[known[:kept]] = rows[:kept]
-        out[lost] = mul_rows(self.ft, dcoeffs[lost], self.ft.arrays.inv[loc[lost]])
-        if ops is not None:
-            ops.muls += (k + len(lost)) * width
-        return out
+        _, rebuild = self.repair(positions[:k])
+        return rows if rebuild is None else rebuild(rows, ops)

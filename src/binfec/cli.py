@@ -21,7 +21,8 @@ chunk is written, so its input may be a pipe.
 Decode reads each chunk's window of the k chosen shards, repairs or
 interleaves it, and writes it at its offset in a file beside --out
 under a temporary name, renamed onto --out only when the whole file is
-written.  A repair at h > 2k points takes fewer stripes a chunk, so
+written.  A repair is planned once, locator and all, before any
+worker forks.  At h > 2k points it takes fewer stripes a chunk, so
 that its (h x stripes) array stays within two chunks' bytes.
 
 The chunks of a stripe-by-stripe code share nothing but read-only
@@ -136,8 +137,8 @@ def _run_in_workers(share, workers: int) -> None:
     carrying the child's error text.
     """
     # a child inherits unflushed output and would print it again
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None when closed at start
+        stream.flush()
     parent, children = os.getpid(), []  # (pid, read end of its report pipe)
     failed = True
     try:
@@ -225,13 +226,6 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _repair(codec, columns: dict[int, bytes]):
-    """The (k x stripes) data rows rebuilt by the codec from k shard payloads."""
-    import numpy as np
-
-    return codec.decode({j: np.frombuffer(p, codec.dtype) for j, p in columns.items()})
-
-
 @contextlib.contextmanager
 def _replacing(path: str):
     """A new file beside path, renamed onto it if the block completes, else removed."""
@@ -260,24 +254,29 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
     # no field arithmetic when every data shard is present, or at k=1,
     # where every shard holds the file (each block is a 1-point transform)
-    codec = None if code.k == 1 or all(j in shards for j in range(code.k)) else _codec(code)
-    step, width = code.chunk_stripes, code.width
-    if codec is not None:
-        step = code.repair_stripes(codec.repair_points(shards))
+    rebuild, step, width = None, code.chunk_stripes, code.width
+    if code.k > 1 and not all(j in shards for j in range(code.k)):
+        import numpy as np
+
+        codec = _codec(code)
+        # planned once, before any worker forks: every worker shares its locator
+        h, rebuild = codec.repair(shards)
+        step = code.repair_stripes(h)
     starts = range(0, header.stripe_count, step)
     with _replacing(args.output) as out:
 
         def decode_share(w: int, workers: int):
             for start in starts[w::workers]:
                 window = start * width, min(step, header.stripe_count - start) * width
-                columns = {j: shard.read(*window) for j, shard in shards.items()}
-                rows = list(columns.values()) if codec is None else _repair(codec, columns)
+                rows = [shard.read(*window) for shard in shards.values()]
+                if rebuild is not None:
+                    rows = rebuild(np.frombuffer(b"".join(rows), codec.dtype).reshape(code.k, -1))
                 tail = header.original_length - start * code.stripe_bytes
                 pwrite_all(out.fileno(), stripes_to_bytes(rows, code.r, tail),
                            start * code.stripe_bytes)
                 yield
 
-        _run_in_workers(decode_share, 1 if codec is None else _worker_count(len(starts)))
+        _run_in_workers(decode_share, 1 if rebuild is None else _worker_count(len(starts)))
     print(f"reconstructed {header.original_length} bytes from {len(shards)} shards "
           f"to {args.output}")
     return 0
@@ -338,19 +337,33 @@ def main(argv: list[str] | None = None) -> int:
     ben.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
+    # no cyclic garbage grows with the file: numpy's import alone would run 29 collections
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        # The interpreter's collections at exit walk every object numpy
-        # created, about 30 ms of each run that imported it; frozen
-        # objects are skipped.  Nothing binfec owns waits on them: it
-        # closes every file it opens in a with or finally block before
-        # this.
-        gc.freeze()
+        if enabled:
+            gc.enable()
+
+
+def run() -> None:
+    """The entry point of `python -m binfec.cli` and the binfec script: main, then os._exit.
+
+    os._exit skips the teardown, which walks every object numpy made.  Every
+    file is closed by then; a failed flush of stdout or stderr fails the run.
+    """
+    status = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None when closed at start
+        try:
+            stream.flush()
+        except (OSError, ValueError):  # a closed pipe or stream
+            status = status or 1
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

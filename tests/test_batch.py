@@ -5,7 +5,7 @@ import pytest
 
 from binfec import batch
 from binfec.batch import BatchCodec, CodeParams, TooManyErasuresError
-from binfec.cli import _codec, _repair
+from binfec.cli import _codec
 from binfec.rs import ErasurePattern, decode, encode
 from binfec.shardfile import bytes_to_stripes, stripes_to_bytes
 from binfec.transform import OpCounter
@@ -201,15 +201,18 @@ def test_batch_decode_of_parity_loss_does_no_field_arithmetic(bt8):
 
 
 def test_repair_r16_from_the_k_lowest_payloads(bt16):
-    # _repair's glue at r=16: little-endian two-byte payloads as Shard.read
-    # returns them, no shard files involved
+    # the CLI's glue at r=16: little-endian two-byte payloads as Shard.read
+    # returns them, joined into the k rows of one repair; no shard files
     data = random.Random(88).randbytes(1000)
     k = 16
     code = CodeParams(16, k)
     enc = BatchCodec(code, bt16).encode(bytes_to_stripes(data, code))
     known = [j for j in range(1 << 16) if j not in {3, 10, 11, 12}][:k]
-    columns = {j: memoryview(enc[j].astype("<u2").tobytes()) for j in known}
-    rows = _repair(_codec(code), columns)
+    payloads = [enc[j].astype("<u2").tobytes() for j in known]
+    codec = _codec(code)
+    h, rebuild = codec.repair(known)
+    assert h == 32
+    rows = rebuild(np.frombuffer(b"".join(payloads), codec.dtype).reshape(k, -1))
     assert bytes(stripes_to_bytes(rows, 16, len(data))) == data
 
 
@@ -266,7 +269,7 @@ def test_repair_runs_at_the_subspace_its_survivors_span(monkeypatch, bt8, bt16, 
             known |= set(pyrng.sample(range(h // 2 if h > k else h), k - len(known)))
             extra = set(pyrng.sample(range(h, n), min(3, n - h)))
             survivors = {j: enc[j] for j in known | extra}
-            assert codec.repair_points(survivors) == h, (k, h)
+            assert codec.repair(sorted(survivors)[:k])[0] == h, (k, h)
             out, ops, nonzero = _counted_decode(monkeypatch, codec, survivors)
             assert (out == msgs).all(), (k, h)
             lost = k - len(known & set(range(k)))
@@ -286,3 +289,38 @@ def test_one_lost_data_shard_is_repaired_at_twice_k(monkeypatch, bt8, bt16, r, k
     out, ops, nonzero = _counted_decode(monkeypatch, codec, _survivors(enc, {3}))
     assert (out == msgs).all()
     assert (ops.adds, ops.muls) == _decode_counts(h, k, 1, nonzero)
+
+
+def test_repair_takes_k_distinct_positions_in_range(bt8):
+    codec = BatchCodec(CodeParams(8, 4), bt8)
+    assert codec.repair([3, 2, 1, 0]) == (4, None)  # the data rows: nothing to rebuild
+    for bad in ([0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 1, 2], [0, 1, 2, 256], [-1, 0, 1, 2]):
+        with pytest.raises(ValueError, match="distinct positions"):
+            codec.repair(bad)
+
+
+def test_one_repair_plan_rebuilds_any_run_of_stripes(monkeypatch, bt8):
+    # the locator is computed once, by repair; rebuild reuses it for
+    # every window, whatever its width, and ops counts as decode's do
+    calls = []
+    original = batch.locator_values
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].size)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(batch, "locator_values", counting)
+    codec = BatchCodec(CodeParams(8, 16), bt8)
+    msgs = np.random.default_rng(93).integers(0, 256, (16, 40), dtype=np.uint8)
+    enc = codec.encode(msgs)
+    known = [0, 2, *range(4, 16), 17, 30]  # data rows 1 and 3 lost, 30 below h = 32
+    h, rebuild = codec.repair(reversed(known))
+    assert (h, calls) == (32, [16])  # the 16 erased positions of [0, 32)
+    for lo, hi in ((0, 1), (1, 17), (17, 40)):
+        ops = OpCounter()
+        out = rebuild(np.ascontiguousarray(enc[known, lo:hi]), ops)
+        assert (out == msgs[:, lo:hi]).all(), (lo, hi)
+        decoded = OpCounter()
+        assert (codec.decode({j: enc[j, lo:hi] for j in known}, decoded) == out).all()
+        assert (ops.adds, ops.muls) == (decoded.adds, decoded.muls)
+    assert len(calls) == 1 + 3  # one more for each decode, none for rebuild

@@ -1,4 +1,5 @@
 import collections
+import gc
 import os
 import random
 import subprocess
@@ -79,9 +80,12 @@ HEALTHY_DECODE_DENIED = {
 
 def _assert_decode_imports_no_codec(outdir, out):
     """Decode outdir to out in a fresh interpreter that loads no numpy or codec."""
-    # the entry point of `python -m binfec.cli`; only modules that are new
-    # after the snapshot count, so whatever site preloads is not blamed
-    code = ("import runpy, sys\n"
+    # the entry point of `python -m binfec.cli`, its os._exit made a
+    # SystemExit so that the modules can be listed after it; only modules
+    # that are new after the snapshot count, so whatever site preloads is
+    # not blamed
+    code = ("import os, runpy, sys\n"
+            "os._exit = sys.exit\n"
             "before = set(sys.modules)\n"
             "try:\n"
             "    runpy.run_module('binfec.cli', run_name='__main__')\n"
@@ -304,7 +308,9 @@ def test_encode_rejects_a_bad_geometry_before_numpy(tmp_path, args, message):
     src = tmp_path / "input.bin"
     src.write_bytes(b"hello")
     outdir = tmp_path / "s"
-    code = ("import runpy, sys\n"
+    # os._exit made a SystemExit, so that the modules can be listed after it
+    code = ("import os, runpy, sys\n"
+            "os._exit = sys.exit\n"
             "try:\n"
             "    runpy.run_module('binfec.cli', run_name='__main__')\n"
             "except SystemExit as exc:\n"
@@ -365,3 +371,119 @@ def test_selftest_command_passes(capsys):
     suites = [line.split(":")[0] for line in out.splitlines() if line.startswith("ok")]
     assert suites == ["ok   " + name for name in (
         "field", "transform", "operation counts", "derivative", "locator", "codec")]
+
+
+def _module(*args, stdout=subprocess.PIPE):
+    """Run `python -m binfec.cli` with its output on pipes: (status, stdout, stderr).
+
+    stdout is block-buffered, as on a pipe by default, so output that
+    is not flushed before the process ends is lost.
+    """
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "binfec.cli", *map(str, args)], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_prints_its_summary_through_a_pipe(tmp_path):
+    # the entry point ends the process with os._exit, which flushes no stream
+    data = random.Random(150).randbytes(100_003)
+    src, shards, out = tmp_path / "in.bin", tmp_path / "shards", tmp_path / "out.bin"
+    src.write_bytes(data)
+    assert _module("encode", "--in", src, "--out", shards, "--k", 16) == (
+        0, f"wrote 256 shards (6251 stripes, k=16, n=256) to {shards}\n", "")
+    os.remove(shards / shard_filename(3))  # a repair, which forks workers
+    assert _module("decode", "--shards", shards, "--out", out) == (
+        0, f"reconstructed {len(data)} bytes from 16 shards to {out}\n", "")
+    assert out.read_bytes() == data
+
+
+def test_module_entry_exits_1_on_a_failure_and_2_on_a_usage_error(tmp_path):
+    outdir = _encode(tmp_path, random.Random(151).randbytes(1000), k=16)
+    for idx in range(15, 256):
+        os.remove(outdir / shard_filename(idx))
+    out = tmp_path / "out.bin"
+    assert _module("decode", "--shards", outdir, "--out", out) == (
+        1, "", "error: have 15 usable shards, need at least 16\n")
+    assert not out.exists()
+    status, stdout, err = _module("decode", "--shards", outdir)  # no --out
+    assert (status, stdout) == (2, "")
+    assert err.startswith("usage: binfec decode")
+
+
+def test_module_entry_fails_when_its_summary_is_lost(tmp_path):
+    # stdout is a pipe with no reader, so the flush before os._exit fails
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"hello")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        status, _, err = _module("encode", "--in", src, "--out", tmp_path / "s", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert status == 1, err
+    # a closed stdout is no failure: print writes nothing to it
+    proc = subprocess.run([sys.executable, "-m", "binfec.cli", "encode", "--in", str(src),
+                           "--out", str(tmp_path / "t")], env=dict(os.environ, PYTHONPATH=SRC),
+                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_without_the_collector_and_restores_it(tmp_path, monkeypatch, capsys,
+                                                          enabled):
+    during = []
+    read_shards = cli.read_shards
+
+    def recording(paths):
+        during.append(gc.isenabled())
+        return read_shards(paths)
+
+    monkeypatch.setattr(cli, "read_shards", recording)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        outdir = _encode(tmp_path, random.Random(152).randbytes(1000), k=16)
+        assert gc.isenabled() == enabled
+        os.remove(outdir / shard_filename(0))
+        assert main(["decode", "--shards", str(outdir), "--out", str(tmp_path / "a")]) == 0
+        assert gc.isenabled() == enabled
+        # a reported failure restores it too
+        assert main(["decode", "--shards", str(tmp_path / "none"),
+                     "--out", str(tmp_path / "b")]) == 1
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert during == [False, False]
+    capsys.readouterr()
+
+
+def test_an_encode_and_repair_leave_no_cyclic_garbage_a_chunk(tmp_path, monkeypatch, capsys):
+    # main runs its command with the collector off, which holds memory
+    # flat only while a chunk's work leaves no reference cycles behind
+    monkeypatch.setattr(shardfile, "CHUNK_BYTES", 16 * 64)  # 64 stripes a chunk at k=16
+    monkeypatch.setattr(cli, "_worker_count", lambda chunks: 1)  # every chunk in this process
+    rng = random.Random(153)
+
+    def garbage(run, chunks):
+        base = tmp_path / str(run)
+        base.mkdir()
+        data = rng.randbytes(chunks * shardfile.CHUNK_BYTES - 7)
+        gc.collect()
+        outdir = _encode(base, data, k=16)
+        for idx in (*range(2, 5), *range(16, 200)):
+            os.remove(outdir / shard_filename(idx))
+        out = base / "out.bin"
+        assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+        return gc.collect()
+
+    gc.disable()
+    try:
+        garbage(0, 2)  # the first run's imports and one-time tables
+        two, eight = garbage(1, 2), garbage(2, 8)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert eight <= two, (two, eight)

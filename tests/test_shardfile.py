@@ -166,10 +166,7 @@ def test_stripe_packing_r16_little_endian():
     assert stripes_to_bytes(mat, 16, 4) == data
 
 
-def test_stripes_to_bytes_interleaves_block_by_block(monkeypatch):
-    import binfec.shardfile as shardfile
-
-    monkeypatch.setattr(shardfile, "_BLOCK_BYTES", 40)  # several passes, a short last one
+def test_stripes_to_bytes_interleaves_block_by_block():
     rng = np.random.default_rng(92)
     for r, k, stripes in ((8, 4, 37), (8, 16, 5), (16, 4, 23), (16, 8, 1)):
         rows = rng.integers(0, 1 << r, (k, stripes)).astype(SYMBOL_DTYPE[r])

@@ -11,7 +11,6 @@ import pytest
 
 import binfec
 import binfec.batch as batch
-import binfec.cli as cli
 import binfec.shardfile as shardfile
 from binfec.batch import BatchCodec, CodeParams
 from binfec.cli import main
@@ -41,13 +40,24 @@ def _subset(outdir, dest, indices):
 
 
 @pytest.fixture
-def locator_calls(monkeypatch):
-    calls = []
+def locator_calls(monkeypatch, tmp_path):
+    """calls() empties and returns the locator_values calls so far, by process id.
+
+    Each call appends a line to a file, so the calls of forked workers count too.
+    """
+    log = tmp_path / "locator_calls.txt"
+    log.write_text("")
     original = batch.locator_values
 
     def counting(*args, **kwargs):
-        calls.append(args[1].size)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return original(*args, **kwargs)
+
+    def calls():
+        pids = log.read_text().split()
+        log.write_text("")
+        return pids
 
     monkeypatch.setattr(batch, "locator_values", counting)
     return calls
@@ -60,8 +70,6 @@ def test_chunk_boundaries_change_nothing(tmp_path, monkeypatch, locator_calls, b
                                          r, k, chunk):
     if chunk is not None:
         monkeypatch.setattr(shardfile, "CHUNK_BYTES", chunk)
-    # locator_calls counts this process's calls only, so it does all the work
-    monkeypatch.setattr(cli, "_worker_count", lambda chunks: 1)
     size_of_chunk = shardfile.CHUNK_BYTES
     code = CodeParams(r, k)
     codec = BatchCodec(code, bt8 if r == 8 else bt16)
@@ -89,12 +97,12 @@ def test_chunk_boundaries_change_nothing(tmp_path, monkeypatch, locator_calls, b
 
         healthy = _subset(shards, base / "data", range(k))
         assert _decode(healthy, base / "healthy.bin") == data, size
-        assert locator_calls == []
+        assert locator_calls() == []
         repair = _subset(shards, base / "repair", repair_from)
         assert _decode(repair, base / "repaired.bin") == data, size
-        # one locator per decode, however many chunks it repairs
-        assert len(locator_calls) == (1 if size else 0), size
-        locator_calls.clear()
+        # one locator per decode, built before the workers fork, however
+        # many workers and chunks repair the file
+        assert locator_calls() == [str(os.getpid())], size
 
 
 # (r, k, stripes): r=8 from one data row to k = n/2, and r=16 with
