@@ -26,13 +26,13 @@ worker forks.  At h > 2k points it takes fewer stripes a chunk, so
 that its (h x stripes) array stays within two chunks' bytes.
 
 The chunks of a stripe-by-stripe code share nothing but read-only
-tables, so encode and the repair decode share them out among worker
-processes, one per CPU this process may run on (run binfec under
-`taskset` to use fewer) and at most one a chunk: worker w of W handles
-chunks w, w + W, ...  The workers are forked once the codec's tables
-exist; this process is worker 0.  A pipe as input, which only one
-process can read, and a decode that finds every data shard, which only
-interleaves payloads, run in this process alone.
+tables, so encode and decode share them out among worker processes,
+one per CPU this process may run on (run binfec under `taskset` to use
+fewer) and at most one a chunk: worker w of W handles chunks w, w + W,
+...  The workers are forked once the codec's tables, if any, exist;
+this process is worker 0.  An encode worker reads the file this
+process opened, or fails.  A pipe as input, which only one process can
+read, runs in this process alone.
 """
 
 from __future__ import annotations
@@ -186,6 +186,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     # set in this process, worker 0: codec by prepare, and header by
     # encode_share once it has read the whole input
     codec = header = None
+    changed = f"{args.input} changed while being read"
 
     with open(args.input, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -195,8 +196,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         def encode_share(w: int, workers: int):
             nonlocal header
             # every worker reads the whole input, each through its own
-            # file offset, and encodes only its own chunks
+            # file offset, and encodes only its own chunks; each must read
+            # the file this process opened, as it was then
             src = fh if w == 0 else open(args.input, "rb")
+            if not os.path.samestat(os.fstat(src.fileno()), info):
+                raise ValueError(changed)
             offset = 0  # payload bytes in each shard before this chunk
             for i, (chunk, length) in enumerate(read_chunks(src, code)):
                 if i % workers == w:
@@ -205,6 +209,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
                         append_shards(args.outdir, rows, first, offset)
                     yield
                 offset += len(chunk) // code.k
+            if workers > 1 and length != info.st_size:
+                raise ValueError(changed)
             header = ShardHeader(code, 0, length)
 
         def prepare(w: int, workers: int):
@@ -254,14 +260,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
     # no field arithmetic when every data shard is present, or at k=1,
     # where every shard holds the file (each block is a 1-point transform)
-    rebuild, step, width = None, code.chunk_stripes, code.width
+    h, rebuild, width = code.k, None, code.width
     if code.k > 1 and not all(j in shards for j in range(code.k)):
         import numpy as np
 
         codec = _codec(code)
         # planned once, before any worker forks: every worker shares its locator
         h, rebuild = codec.repair(shards)
-        step = code.repair_stripes(h)
+    step = code.repair_stripes(h)
     starts = range(0, header.stripe_count, step)
     with _replacing(args.output) as out:
 
@@ -276,7 +282,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                            start * code.stripe_bytes)
                 yield
 
-        _run_in_workers(decode_share, 1 if rebuild is None else _worker_count(len(starts)))
+        _run_in_workers(decode_share, _worker_count(len(starts)))
     print(f"reconstructed {header.original_length} bytes from {len(shards)} shards "
           f"to {args.output}")
     return 0

@@ -134,24 +134,12 @@ def tables_for(r: int) -> FieldTables:
             )
         exp[i] = val
         log[val] = i
-        val = _mul_slow(val, ALPHA, poly, r)
+        val <<= 1  # times ALPHA, the polynomial x, reduced by poly
+        if val >> r:
+            val ^= poly
     if val != 1:
         # Can only happen for a reducible modulus where ALPHA is not a unit.
         raise ValueError(f"reduction polynomial {poly:#x} is reducible for r={r}")
     log[0] = 0  # convention: log of zero is stored as 0, and never consulted
     return FieldTables(r, log, exp)
 
-
-def _mul_slow(a: int, b: int, poly: int, r: int) -> int:
-    # Carry-less shift-and-xor multiply, reduced bit by bit.  Only used
-    # during table construction; everything else uses the tables.
-    top = 1 << r
-    p = 0
-    while b:
-        if b & 1:
-            p ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= poly
-    return p

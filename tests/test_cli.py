@@ -78,47 +78,112 @@ HEALTHY_DECODE_DENIED = {
 }
 
 
-def _assert_decode_imports_no_codec(outdir, out):
-    """Decode outdir to out in a fresh interpreter that loads no numpy or codec."""
-    # the entry point of `python -m binfec.cli`, its os._exit made a
-    # SystemExit so that the modules can be listed after it; only modules
-    # that are new after the snapshot count, so whatever site preloads is
-    # not blamed
+def _assert_decode_imports_no_codec(outdir, out, windows, chunk=None):
+    """Decode outdir to out in a fresh interpreter whose every process loads no numpy or codec.
+
+    The decode reads windows windows, decoded with shardfile.CHUNK_BYTES
+    set to chunk if given, so it runs in _worker_count(windows) processes.
+    """
+    # the entry point of `python -m binfec.cli`; each process of the run
+    # lists its modules as it calls os._exit, which this one, the parent,
+    # makes a SystemExit; only modules that are new after the snapshot
+    # count, so whatever site preloads is not blamed
     code = ("import os, runpy, sys\n"
-            "os._exit = sys.exit\n"
-            "before = set(sys.modules)\n"
-            "try:\n"
-            "    runpy.run_module('binfec.cli', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+            "before, parent, end = set(sys.modules), os.getpid(), os._exit\n"
+            "def listing_exit(status):\n"
+            "    print('modules:', *sorted(set(sys.modules) - before), flush=True)\n"
+            "    if os.getpid() != parent:\n"
+            "        end(status)\n"
+            "    sys.exit(status)\n"
+            "os._exit = listing_exit\n"
+            + ("" if chunk is None else
+               f"import binfec.shardfile\nbinfec.shardfile.CHUNK_BYTES = {chunk}\n")
+            + "runpy.run_module('binfec.cli', run_name='__main__')\n")
     stdout = _python(code, "decode", "--shards", outdir, "--out", out)
-    new = set(stdout.splitlines()[-1].split())
-    assert sorted(m for m in new if m in HEALTHY_DECODE_DENIED or m.startswith("numpy.")) == []
-    assert {m for m in new if m.startswith("binfec")} == {
-        "binfec", "binfec.shardfile", "binfec.field"}  # binfec.cli runs as __main__
+    listed = [line.split()[1:] for line in stdout.splitlines() if line.startswith("modules:")]
+    assert len(listed) == cli._worker_count(windows)
+    for new in map(set, listed):
+        assert sorted(m for m in new if m in HEALTHY_DECODE_DENIED or m.startswith("numpy.")) == []
+        assert {m for m in new if m.startswith("binfec")} == {
+            "binfec", "binfec.shardfile", "binfec.field"}  # binfec.cli runs as __main__
 
 
 def test_healthy_decode_imports_only_what_it_runs(tmp_path):
-    data = random.Random(108).randbytes(3000)
-    outdir = _encode(tmp_path, data, k=16)
-    for idx in range(16, 256, 3):
-        os.remove(outdir / shard_filename(idx))
-    out = tmp_path / "out.bin"
-    _assert_decode_imports_no_codec(outdir, out)
-    assert out.read_bytes() == data
+    # one window, and three, which the decode shares among its workers
+    for size, windows in ((3000, 1), ((1 << 20) + 5, 3)):
+        base = tmp_path / str(size)
+        base.mkdir()
+        data = random.Random(108).randbytes(size)
+        outdir = _encode(base, data, k=16)
+        for idx in range(16, 256, 3):
+            os.remove(outdir / shard_filename(idx))
+        out = base / "out.bin"
+        _assert_decode_imports_no_codec(outdir, out, windows)
+        assert out.read_bytes() == data
 
 
 def test_k1_decode_copies_a_survivor_without_numpy(tmp_path):
     # at k=1 each block is a 1-point transform, so every shard's payload
-    # is the file: the lowest survivor is copied out, with no repair
+    # is the file: the lowest survivor is copied out, with no repair; in
+    # one window, and in five of 16 KiB
     data = random.Random(109).randbytes(70_001)
     outdir = _encode(tmp_path, data, k=1)
     for idx in range(201):
         os.remove(outdir / shard_filename(idx))
+    for chunk, windows in ((None, 1), (16 << 10, 5)):
+        out = tmp_path / f"out-{chunk}.bin"
+        _assert_decode_imports_no_codec(outdir, out, windows, chunk)
+        assert out.read_bytes() == data
+
+
+def test_a_healthy_decode_of_two_windows_shares_them_among_workers(tmp_path, monkeypatch):
+    data = random.Random(111).randbytes(shardfile.CHUNK_BYTES + 5)  # two windows at k=16
+    outdir = _encode(tmp_path, data, k=16)
+    counts, run = [], cli._run_in_workers
+
+    def counting(share, workers):
+        counts.append(workers)
+        return run(share, workers)
+
+    monkeypatch.setattr(cli, "_run_in_workers", counting)
     out = tmp_path / "out.bin"
-    _assert_decode_imports_no_codec(outdir, out)
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
     assert out.read_bytes() == data
+    assert counts == [cli._worker_count(2)]
+
+
+@pytest.mark.parametrize("change", ["replace", "append"])
+def test_an_encode_whose_input_changes_fails_and_leaves_no_readable_shard(
+        tmp_path, monkeypatch, capsys, change):
+    # the input changes once it is open, while the tables are built and
+    # before the workers fork: a worker that reopens it by its path finds
+    # another file, or every worker reads more bytes than it had
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two CPUs")
+    src, outdir = tmp_path / "in.bin", tmp_path / "shards"
+    src.write_bytes(random.Random(112).randbytes((1 << 20) + 5))
+    codec = cli._codec
+
+    def changing(code):
+        built = codec(code)
+        if change == "replace":
+            (tmp_path / "new.bin").write_bytes(random.Random(113).randbytes((1 << 20) + 5))
+            os.replace(tmp_path / "new.bin", src)
+        else:
+            with open(src, "ab") as fh:
+                fh.write(b"more")
+        return built
+
+    monkeypatch.setattr(cli, "_codec", changing)
+    capsys.readouterr()
+    assert main(["encode", "--in", str(src), "--out", str(outdir), "--k", "16"]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        f"error: {src} changed while being read"], err
+    out = tmp_path / "out.bin"
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 1
+    assert "error: no readable shard files found" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_shard_paths_lists_visible_shard_files_sorted(tmp_path):

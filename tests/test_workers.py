@@ -1,4 +1,4 @@
-"""Encode and the repair decode share a file's chunks among forked workers, one per CPU.
+"""Encode and decode share a file's chunks among forked workers, one per CPU.
 
 Each run is a child process pinned to one CPU or to two, started in a
 session of its own, so that any process of the run still alive after
@@ -85,11 +85,13 @@ def _files(folder):
 
 # (r, k, chunk bytes, file bytes): several chunks and a short tail; None
 # keeps CHUNK_BYTES.  At r=16 every chunk writes 65,536 files, so a
-# chunk is two stripes and the file two chunks.
+# chunk is two stripes and the file two chunks.  At k=1 every shard
+# holds the file, so a chunk is 4 KiB.
 @pytest.mark.parametrize("r, k, chunk, size", [
     (8, 16, None, 3 * shardfile.CHUNK_BYTES + 5),
     (8, 128, None, 2 * shardfile.CHUNK_BYTES + 1_000),
     (16, 16, 64, 64 + 5),
+    (8, 1, 4096, 3 * 4096 + 5),
 ])
 def test_one_or_two_workers_write_the_same_bytes(tmp_path, r, k, chunk, size):
     one, two = _one_and_two()
@@ -102,13 +104,15 @@ def test_one_or_two_workers_write_the_same_bytes(tmp_path, r, k, chunk, size):
         _ok(cpus, "encode", "--in", src, "--out", shards[name], "--r", r, "--k", k, chunk=chunk)
     assert _files(shards["one"]) == _files(shards["two"])
 
-    lost = [1, k - 1, *range(k + 2, 2 * k)]  # two data shards lost
-    for j in lost:
+    # "two" keeps every shard, a healthy decode; "one" loses two data
+    # shards, a repair, or at k=1 shards 0 and 1, a copy of shard 2
+    for j in [1, k - 1, *range(k + 2, 2 * k)]:
         os.remove(shards["one"] / shard_filename(j))
-    for name, cpus in (("one", one), ("two", two)):
-        out = tmp_path / f"{name}.bin"
-        _ok(cpus, "decode", "--shards", shards["one"], "--out", out, chunk=chunk)
-        assert out.read_bytes() == data, name
+    for folder in shards.values():
+        for name, cpus in (("one", one), ("two", two)):
+            out = tmp_path / f"{name}.bin"
+            _ok(cpus, "decode", "--shards", folder, "--out", out, chunk=chunk)
+            assert out.read_bytes() == data, (folder, name)
 
 
 # Shard.read, patched in the run: the process named by FAILS truncates
