@@ -29,6 +29,13 @@ formal derivative's first k coefficients, and one k-point forward
 transform later, each lost data value falls out as
 F'hat(j) / locator'(j): O(h lg h) a stripe, n lg n at most.
 
+A repaired window of W stripes has a fixed working set beside its k
+survivor rows: the (h x W) workspace that the inverse transform runs
+in and the derivative scales in place, and the derivative's (k x W)
+sum, which becomes the output, plus one multiply's piece of about 64K
+symbols.  In a CLI window at r=8, 512 KiB of survivors, that peaks at
+1.7 MiB for h = 2k.
+
 Every step is a row kernel of binfec.transform or binfec.derivative.
 This is the only copy of the pipeline: binfec.rs.encode and decode are
 its one-column view.  CodeParams (re-exported) is binfec.shardfile's,
@@ -38,6 +45,7 @@ the one geometry value that the shard header and the CLI take too.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from operator import attrgetter
 
 import numpy as np
 
@@ -78,7 +86,8 @@ class BatchCodec:
         inverse_rows(self.bt, a, shift, ops)
 
     def _derivative(self, a: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
-        return derivative_rows(self.bt, a, ops, self.cp.k)
+        # a is the repair's own workspace, and is not read again
+        return derivative_rows(self.bt, a, ops, self.cp.k, overwrite_a=True)
 
     def _symbols(self, a: np.ndarray) -> np.ndarray:
         # a as (rows x stripes) in the codec's dtype
@@ -130,6 +139,12 @@ class BatchCodec:
         rows, in position order and the codec's dtype, to the k data rows;
         ops, if given, also counts the locator scaling (one multiplication
         per survivor) and the division (one per lost data row), per stripe.
+        rows is left as it is.  A rebuild of W stripes allocates the
+        (h x W) workspace and the (k x W) array that the derivative sums
+        into and that becomes the output.  The derivative scales the
+        workspace, and its sum, in place, and every multiply works a
+        piece at a time, so at its peak a rebuild holds those two arrays
+        and one piece's temporaries.
         """
         n, k = self.cp.n, self.cp.k
         positions = sorted(positions)
@@ -141,7 +156,9 @@ class BatchCodec:
             return h, None
 
         known = np.array(positions)
-        erased = np.setdiff1d(np.arange(h), known)
+        is_erased = np.ones(h, dtype=bool)
+        is_erased[known] = False
+        erased = np.flatnonzero(is_erased)  # setdiff1d would import numpy.ma
         loc = locator_values(self.ft, erased, h)
         lost, kept = erased[erased < k], known[known < k]  # data positions
         scale, divide = loc[known], self.ft.arrays.inv[loc[lost]]
@@ -154,12 +171,11 @@ class BatchCodec:
             self._inverse_inplace(phi, 0, ops)
             # X_i for i >= k vanishes on [0, k): only the derivative's
             # first k coefficients reach the lost data points.
-            dcoeffs = self._derivative(phi, ops)
+            out = self._derivative(phi, ops)
             del phi
-            self._forward_inplace(dcoeffs, 0, ops)
-            out = np.empty((k, width), dtype=self.dtype)
+            self._forward_inplace(out, 0, ops)
+            out[lost] = mul_rows(self.ft, out[lost], divide)
             out[kept] = rows[:len(kept)]
-            out[lost] = mul_rows(self.ft, dcoeffs[lost], divide)
             if ops is not None:
                 ops.muls += (k + len(lost)) * width
             return out
@@ -173,24 +189,27 @@ class BatchCodec:
         survivors maps codeword positions in [0, n) to 1-D rows of equal
         length: row j holds position j of every stripe.  Any k or more
         survivors decode, and every row is checked, but only the k
-        lowest-index ones are converted to the codec's dtype and
-        repaired; if they are the data rows, ops is left as it is.
+        lowest-index ones are gathered, converted to the codec's dtype
+        and repaired; if they are the data rows, ops is left as it is.
         """
         n, k = self.cp.n, self.cp.k
-        if not all(0 <= j < n for j in survivors):
-            raise ValueError(f"survivor positions must lie in [0, {n})")
-        if len(survivors) < k:
-            raise TooManyErasuresError(
-                f"{n - len(survivors)} erasures exceed repair capacity {n - k}")
         positions = sorted(survivors)
-        rows = [survivors[j] for j in positions]
-        shapes = {row.shape for row in rows}
-        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
-            raise ValueError(f"survivor rows must be 1-D of one length, got {shapes}")
-        (width,) = shapes.pop()
-        # rows beyond the k used are range-checked but not converted
-        if wider := [row for row in rows[k:] if row.dtype != self.dtype]:
-            symbols(self.ft, np.concatenate(wider))
-        rows = self._symbols(np.concatenate(rows[:k]).reshape(k, width))
+        if positions and not 0 <= positions[0] <= positions[-1] < n:
+            raise ValueError(f"survivor positions must lie in [0, {n})")
+        if len(positions) < k:
+            raise TooManyErasuresError(
+                f"{n - len(positions)} erasures exceed repair capacity {n - k}")
+        # every row is checked, an attribute at a time, with no tuple
+        # built per row: at r=16 a decode may be given 65,535 of them
+        every = survivors.values()
+        if (ndims := set(map(attrgetter("ndim"), every))) != {1}:
+            raise ValueError(f"survivor rows must be 1-D, got dimensions {ndims}")
+        if len(widths := set(map(len, every))) != 1:
+            raise ValueError(f"survivor rows must be of one length, got {widths}")
+        # rows in another dtype are range-checked, and only the k used converted
+        if set(map(attrgetter("dtype"), every)) != {self.dtype}:
+            symbols(self.ft, np.concatenate([row for row in every if row.dtype != self.dtype]))
+        used = [survivors[j] for j in positions[:k]]
+        rows = self._symbols(np.concatenate(used).reshape(k, -1))
         _, rebuild = self.repair(positions[:k])
         return rows if rebuild is None else rebuild(rows, ops)

@@ -19,7 +19,8 @@ tables, appends each chunk's codewords to them one k-row block at a
 time, as each is computed, and writes the n headers last, once every
 chunk is written, so its input may be a pipe.
 Decode reads each chunk's window of the k chosen shards, repairs or
-interleaves it, and writes it at its offset in a file beside --out
+interleaves it (a repair copies each payload, as it is read, into the
+one array it repairs), and writes it at its offset in a file beside --out
 under a temporary name, renamed onto --out only when the whole file is
 written.  A repair is planned once, locator and all, before any
 worker forks.  At h > 2k points it takes fewer stripes a chunk, so
@@ -273,10 +274,15 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
         def decode_share(w: int, workers: int):
             for start in starts[w::workers]:
-                window = start * width, min(step, header.stripe_count - start) * width
-                rows = [shard.read(*window) for shard in shards.values()]
-                if rebuild is not None:
-                    rows = rebuild(np.frombuffer(b"".join(rows), codec.dtype).reshape(code.k, -1))
+                stripes = min(step, header.stripe_count - start)
+                window = start * width, stripes * width
+                if rebuild is None:
+                    rows = [shard.read(*window) for shard in shards.values()]
+                else:  # each payload is copied into the window's one array as it is read
+                    rows = np.empty((code.k, stripes), codec.dtype)
+                    for row, shard in zip(rows, shards.values()):
+                        row[:] = np.frombuffer(shard.read(*window), codec.dtype)
+                    rows = rebuild(rows)
                 tail = header.original_length - start * code.stripe_bytes
                 pwrite_all(out.fileno(), stripes_to_bytes(rows, code.r, tail),
                            start * code.stripe_bytes)

@@ -57,7 +57,8 @@ def derivative_fast(bt: BasisTables, coeffs: CoeffVec,
 
 
 def derivative_rows(bt: BasisTables, a: np.ndarray,
-                    ops: OpCounter | None = None, k: int | None = None) -> np.ndarray:
+                    ops: OpCounter | None = None, k: int | None = None,
+                    overwrite_a: bool = False) -> np.ndarray:
     """First k outputs of derivative_fast() on every column of (h x stripes) a.
 
     k is a power of two up to h (the default).  Level l adds scaled
@@ -74,7 +75,9 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
         multiplications  k (1 + lg h - lg k) + (nonzero outputs)
 
     a is left as it is, in any memory layout and integer dtype; the
-    result is a new (k x stripes) array of symbols.
+    result is a new (k x stripes) array of symbols.  With overwrite_a,
+    a caller that has no further use for a lets its rows [0, k) be
+    scaled in place, so that no (k x stripes) copy of them is made.
     """
     a = symbols(bt.ft, a)
     h = a.shape[0]
@@ -82,8 +85,8 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
     if not 1 <= k <= h or k & (k - 1):
         raise ValueError(f"k must be a power of two up to {h}, got {k}")
     stripes = a.size // h
-    scaled = mul_rows(bt.ft, a[:k], bt.b_prod[:k])
-    acc = np.zeros_like(scaled)
+    scaled = mul_rows(bt.ft, a[:k], bt.b_prod[:k], out=a[:k] if overwrite_a else None)
+    acc = np.zeros(scaled.shape, scaled.dtype)  # C order, so that each reshape is a view
     for l in range(k.bit_length() - 1):
         shape = (k >> (l + 1), 2, stripes << l)
         acc.reshape(shape)[:, 0] ^= scaled.reshape(shape)[:, 1]
@@ -96,4 +99,4 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
         terms = k // 2 * (k.bit_length() - 1) + k * len(higher)
         ops.adds += (terms - k + (k == h)) * stripes
         ops.muls += k * (1 + len(higher)) * stripes + int(np.count_nonzero(acc))
-    return mul_rows(bt.ft, acc, bt.b_prod_inv[:k])
+    return mul_rows(bt.ft, acc, bt.b_prod_inv[:k], out=acc)

@@ -24,17 +24,19 @@ Symbols are SYMBOL_DTYPE[r]: uint8 at r=8, uint16 at r=16, and the
 kernels reject rows of any other dtype before writing anything.  They
 read the butterfly factors BasisTables.w_hat and the field tables
 FieldTables.arrays, read-only arrays each built once by the object that
-owns it.  At r=8, mul_rows copies each row into a bytearray and
-translates it through FieldArrays.product_rows[f], the 256 bytes of its
-factor f times every symbol: one C byte-table lookup per symbol, with
-no index buffer and no table built per call.  Rows are translated in
-pieces of about _PIECE bytes (several whole rows, or part of a wide
-one), and each piece is stored into the output or, for a butterfly,
-XORed straight into u.  Each row costs 0.5-1 us beyond its 0.5 ns a
-byte, which a one-column call pays on every one of its short rows.  At
-r=16 a product table would not fit, so the multiply adds logs and
-looks the sum up in the exp table stored twice over, so no modular
-reduction is needed; zero operands are masked explicitly.
+owns it.  mul_rows multiplies rows in pieces of about _PIECE symbols
+(several whole rows, or part of a wide one), and stores each piece
+into the output, which may be the input itself, or, for a butterfly,
+XORs it straight into u: whatever the rows' size, a multiply holds one
+piece's temporaries.  At r=8 each row of a piece is copied into a
+bytearray and translated through FieldArrays.product_rows[f], the 256
+bytes of its factor f times every symbol: one C byte-table lookup per
+symbol, with no index buffer and no table built per call.  Each row
+costs 0.5-1 us beyond its 0.5 ns a byte, which a one-column call pays
+on every one of its short rows.  At r=16 a product table would not
+fit, so the multiply adds logs and looks the sum up in the exp table
+stored twice over, so no modular reduction is needed; zero operands
+are masked explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
 additions and multiplications the kernels execute, level by level, so
@@ -54,10 +56,12 @@ import numpy as np
 from .basis import BasisTables
 from .field import SYMBOL_DTYPE, FieldTables
 
-# Symbols per translated piece of r=8 work, whose copies stay below
-# glibc's 128 KiB mmap threshold.  Eight 256 KiB rows took 1.59 ns a
+# Symbols per piece of a multiply.  At r=8 a piece's copies stay below
+# glibc's 128 KiB mmap threshold: eight 256 KiB rows took 1.59 ns a
 # symbol in 16 KiB pieces, 1.24 in 64 KiB pieces and 1.19-1.21 in
-# 128-256 KiB ones (medians of 15).
+# 128-256 KiB ones (medians of 15).  At r=16, whose index arrays take
+# 12 bytes a symbol, pieces took half the time of whole arrays from
+# 128K symbols up (16 x 8,192: 1.2 against 2.4 ms) and the same below.
 _PIECE = 1 << 16
 
 
@@ -136,31 +140,40 @@ def inverse(bt: BasisTables, evals: EvalVec,
 
 
 def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray,
-             add_to: np.ndarray | None = None) -> np.ndarray:
+             add_to: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Product of each row v[b] with the field scalar factors[b].
 
-    Returned as a new array or, given add_to, added (XORed) into its rows,
-    which are returned: a butterfly's u += f * v with no product array.
+    Returned as a new array; or stored into the rows of out, which may be
+    v itself, to scale v in place; or, given add_to, added (XORed) into
+    its rows: a butterfly's u += f * v with no product array.  The rows
+    written are returned.
     """
     _check_symbols(ft, v)
     arrays = ft.arrays
-    if ft.r == 16:
-        product = np.take(arrays.exp, arrays.log[v] + arrays.log[factors][:, None])
-        product[(v == 0) | (factors == 0)[:, None]] = 0
-        return product if add_to is None else _add(add_to, product)
-    out = np.empty(v.shape, np.uint8) if add_to is None else add_to
     store = np.copyto if add_to is None else _add
+    if add_to is not None:
+        out = add_to
+    elif out is None:
+        out = np.empty(v.shape, v.dtype)
     rows, width = v.shape
-    tables = [arrays.product_rows[f] for f in factors.tolist()]
+    if ft.r == 8:
+        tables = [arrays.product_rows[f] for f in factors.tolist()]
+    else:
+        logs, zero = arrays.log[factors][:, None], (factors == 0)[:, None]
     # pieces of about _PIECE symbols: several whole rows, or part of one
     group, piece = max(1, _PIECE // max(width, 1)), max(1, min(width, _PIECE))
     for b in range(0, rows, group):
         for s in range(0, width, piece):
             part = v[b:b + group, s:s + piece]
-            translated = [bytearray(row).translate(table)
-                          for row, table in zip(part, tables[b:b + group])]
-            product = np.frombuffer(b"".join(translated), np.uint8)
-            store(out[b:b + group, s:s + piece], product.reshape(part.shape))
+            if ft.r == 8:
+                translated = [bytearray(row).translate(table)
+                              for row, table in zip(part, tables[b:b + group])]
+                product = np.frombuffer(b"".join(translated), np.uint8).reshape(part.shape)
+            else:
+                product = np.take(arrays.exp, arrays.log[part] + logs[b:b + group])
+                product[(part == 0) | zero[b:b + group]] = 0
+            store(out[b:b + group, s:s + piece], product)
     return out
 
 

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -324,3 +326,34 @@ def test_one_repair_plan_rebuilds_any_run_of_stripes(monkeypatch, bt8):
         assert (codec.decode({j: enc[j, lo:hi] for j in known}, decoded) == out).all()
         assert (ops.adds, ops.muls) == (decoded.adds, decoded.muls)
     assert len(calls) == 1 + 3  # one more for each decode, none for rebuild
+
+
+@pytest.mark.parametrize("r, k, stripes, erased, limit_mib", (
+    (8, 128, 4_096, set(random.Random(94).sample(range(256), 128)), 1.75),  # h = 256
+    (8, 16, 32_768, {3}, 1.75),                                             # h = 32
+    (16, 16, 8_192, {3, 10, 11, 12}, 2.50),                                 # h = 32
+))
+def test_one_repair_window_holds_its_workspace_and_little_more(
+        bt8, bt16, r, k, stripes, erased, limit_mib):
+    # a CLI window at r=8: 512 KiB of survivors in, 512 KiB of data out.
+    # The (h x stripes) workspace (1 MiB) and the derivative's (k x
+    # stripes) sum are the arrays alive at once: the derivative scales
+    # the workspace in place and divides its own sum in place, with
+    # about one translated piece of room beside them.  At r=16 the
+    # log/exp multiply's index arrays set the peak.
+    codec = BatchCodec(CodeParams(r, k), bt8 if r == 8 else bt16)
+    msgs = np.random.default_rng(94).integers(0, 1 << r, (k, stripes)).astype(codec.dtype)
+    known = [j for j in range(2 * k) if j not in erased][:k]  # positions below 2k
+    h, rebuild = codec.repair(known)
+    assert h == 2 * k
+    # positions [0, 2k): the message rows and the first parity block
+    enc = np.concatenate([block.copy() for _, block in islice(codec.encode_blocks(msgs), 2)])
+    rows = np.ascontiguousarray(enc[known])
+    tracemalloc.start()
+    try:
+        out = rebuild(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out == msgs).all()
+    assert peak <= limit_mib * (1 << 20), peak / (1 << 20)

@@ -129,6 +129,22 @@ def test_rows_match_columns_in_any_layout(bt8):
         assert got[:, s].tolist() == derivative_direct(bt8, CoeffVec(a[:, s].tolist())).data
 
 
+@pytest.mark.parametrize("r", (8, 16))
+def test_overwrite_a_gives_the_copying_result(bt8, bt16, r):
+    # rows [0, k) of a may be scaled in place; the result is the same,
+    # and the rows above k, which the higher levels read, are left alone
+    bt = bt8 if r == 8 else bt16
+    rng = np.random.default_rng(49 + r)
+    for h, k, stripes in ((1, 1, 3), (16, 16, 5), (256, 128, 4_099), (32, 16, 70_001),
+                          (64, 4, 9)):
+        a = rng.integers(0, 1 << r, (h, stripes)).astype(np.uint8 if r == 8 else np.uint16)
+        want = derivative_rows(bt, a, k=k)
+        work = a.copy()
+        got = derivative_rows(bt, work, k=k, overwrite_a=True)
+        assert got.shape == (k, stripes) and (got == want).all(), (h, k)
+        assert (work[k:] == a[k:]).all(), (h, k)
+
+
 @pytest.mark.parametrize("r, sizes", ((8, range(9)), (16, (3, 10, 16))))
 def test_first_k_outputs_match_the_direct_formula(bt8, bt16, r, sizes):
     # every k <= h, at h = 2^r too: the first k outputs read rows

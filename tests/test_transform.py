@@ -221,6 +221,31 @@ def test_mul_rows_r16_matches_the_oracle(ft16):
     expected = acc ^ want
     assert mul_rows(ft16, v, factors, add_to=acc) is acc
     assert (acc == expected).all()
+    # several rows a piece, a ragged last group, and several pieces a
+    # row with a ragged tail, against the scalar field's product
+    for shape in ((70, 2_049), (2, 2 * 65_536 + 7)):
+        v = rng.integers(0, 1 << 16, shape, dtype=np.uint16)
+        factors = rng.integers(0, 1 << 16, shape[0], dtype=np.uint16)
+        factors[0] = 0
+        want = [[ft16.mul(f, x) for x in row] for f, row in zip(factors.tolist(), v.tolist())]
+        assert mul_rows(ft16, v, factors).tolist() == want, shape
+
+
+@pytest.mark.parametrize("r", (8, 16))
+def test_mul_rows_in_place_equals_the_copying_result(ft8, ft16, r):
+    # out=v scales v's rows in place, a piece at a time: each piece is
+    # read before it is written, at factors 0, 1 and random ones, in one
+    # piece, several rows a piece, and several pieces a row
+    ft = ft8 if r == 8 else ft16
+    rng = np.random.default_rng(17 + r)
+    for rows, width in ((3, 5), (70, 2_049), (3, 3 * 65_536 + 1_001)):
+        v = rng.integers(0, 1 << r, (rows, width)).astype(SYMBOL_DTYPE[r])
+        v[:, :2] = 0  # zero symbols too
+        factors = rng.integers(2, 1 << r, rows).astype(SYMBOL_DTYPE[r])
+        factors[:2] = [0, 1]
+        want = mul_rows(ft, v, factors)
+        assert mul_rows(ft, v, factors, out=v) is v
+        assert (v == want).all(), (rows, width)
 
 
 @pytest.mark.parametrize("width", (1, 2_047, 2_048))
