@@ -17,17 +17,18 @@ computed into one reused buffer: the CLI writes each block to its
 shards before the next is computed, so an encode holds one block, not
 n/k of them.  encode copies the blocks into one (n x stripes) array.
 
-Decoding repairs from k survivors, planned once for any number of
-stripes by repair(positions): h is the smallest power of two (at least
-k) whose prefix [0, h) holds them.  [0, h) is a subspace, and the code
+Decoding is repair(positions), the codec's one decode: a plan, made once
+for any number of stripes, from the k survivors a decode reads (the k
+lowest, for each caller).  h is the smallest power of two (at least k)
+whose prefix [0, h) holds them.  [0, h) is a subspace, and the code
 restricted to it is an (h, k) Reed-Solomon code in the same basis, with
 every other position of [0, h) erased.  At h = k the survivors are the
 message.  Otherwise they, each scaled by the erasure locator (computed
-once, in the plan), are evaluations of the product F * locator, which
-is zero at every erased point.  One h-point inverse transform, the
-formal derivative's first k coefficients, and one k-point forward
-transform later, each lost data value falls out as
-F'hat(j) / locator'(j): O(h lg h) a stripe, n lg n at most.
+once, in the plan), are evaluations of the product F * locator, which is
+zero at every erased point.  One h-point inverse transform, the formal
+derivative's first k coefficients, and one k-point forward transform
+later, each lost data value falls out as F'hat(j) / locator'(j):
+O(h lg h) a stripe, n lg n at most.
 
 A repaired window of W stripes has a fixed working set beside its k
 survivor rows: the (h x W) workspace that the inverse transform runs
@@ -44,8 +45,7 @@ the one geometry value that the shard header and the CLI take too.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from operator import attrgetter
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -74,29 +74,6 @@ class BatchCodec:
         self.ft = bt.ft
         self.dtype = np.dtype(SYMBOL_DTYPE[cp.r])
 
-    # -- phases over rows (row j = codeword position j), one method each
-    # so that perfbench/trace.py can time them by name ------------------
-
-    def _forward_inplace(self, a: np.ndarray, shift: int,
-                         ops: OpCounter | None = None) -> None:
-        forward_rows(self.bt, a, shift, ops)
-
-    def _inverse_inplace(self, a: np.ndarray, shift: int,
-                         ops: OpCounter | None = None) -> None:
-        inverse_rows(self.bt, a, shift, ops)
-
-    def _derivative(self, a: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
-        # a is the repair's own workspace, and is not read again
-        return derivative_rows(self.bt, a, ops, self.cp.k, overwrite_a=True)
-
-    def _symbols(self, a: np.ndarray) -> np.ndarray:
-        # a as (rows x stripes) in the codec's dtype
-        if a.ndim != 2:
-            raise ValueError(f"expected a (rows x stripes) array, got shape {a.shape}")
-        return symbols(self.ft, a)
-
-    # -- public API ------------------------------------------------------
-
     def encode_blocks(self, messages: np.ndarray, ops: OpCounter | None = None):
         """Yield the codewords of (k x stripes) messages a k-row block at a time.
 
@@ -108,15 +85,15 @@ class BatchCodec:
         are checked when the first block is asked for.
         """
         cp = self.cp
-        if messages.shape[0] != cp.k:
-            raise ValueError(f"message rows {messages.shape[0]} != k={cp.k}")
-        coeffs = self._symbols(messages).copy()  # C order, as the kernels need
+        if messages.ndim != 2 or messages.shape[0] != cp.k:
+            raise ValueError(f"expected a (k={cp.k} x stripes) array, got shape {messages.shape}")
+        coeffs = symbols(self.ft, messages).copy()  # C order, as the kernels need
         yield 0, coeffs
-        self._inverse_inplace(coeffs, 0, ops)
+        inverse_rows(self.bt, coeffs, 0, ops)
         block = np.empty_like(coeffs)
         for first in range(cp.k, cp.n, cp.k):
             block[...] = coeffs
-            self._forward_inplace(block, first, ops)
+            forward_rows(self.bt, block, first, ops)
             yield first, block
 
     def encode(self, messages: np.ndarray,
@@ -133,21 +110,24 @@ class BatchCodec:
     def repair(self, positions: Iterable[int]):
         """Plan a repair from the k distinct survivor positions a decode uses: (h, rebuild).
 
-        h is the smallest power of two, at least k, whose prefix [0, h)
-        holds them.  At h = k they are the data positions and rebuild is
-        None.  Otherwise rebuild(rows, ops=None) maps their (k x stripes)
-        rows, in position order and the codec's dtype, to the k data rows;
-        ops, if given, also counts the locator scaling (one multiplication
-        per survivor) and the division (one per lost data row), per stripe.
-        rows is left as it is.  A rebuild of W stripes allocates the
-        (h x W) workspace and the (k x W) array that the derivative sums
-        into and that becomes the output.  The derivative scales the
-        workspace, and its sum, in place, and every multiply works a
-        piece at a time, so at its peak a rebuild holds those two arrays
-        and one piece's temporaries.
+        h is the smallest power of two, at least k, whose prefix [0, h) holds
+        them.  At h = k they are the data positions and rebuild is None.
+        Otherwise rebuild(rows, ops=None) maps their (k x stripes) rows, in
+        position order and the codec's dtype, to the k data rows; ops, if given,
+        also counts the locator scaling (one multiplication per survivor) and
+        the division (one per lost data row), per stripe.  rows is left as it
+        is.  Fewer than k positions raise TooManyErasuresError.  A rebuild of W
+        stripes allocates the (h x W) workspace and the (k x W) array that the
+        derivative sums into and that becomes the output.  The derivative scales
+        the workspace, and its sum, in place, and every multiply works a piece
+        at a time, so at its peak a rebuild holds those two arrays and one
+        piece's temporaries.
         """
         n, k = self.cp.n, self.cp.k
         positions = sorted(positions)
+        if len(positions) < k:
+            raise TooManyErasuresError(
+                f"{n - len(positions)} erasures exceed repair capacity {n - k}")
         if len(set(positions)) != k or len(positions) != k or \
                 not 0 <= positions[0] <= positions[-1] < n:
             raise ValueError(f"a repair takes {k} distinct positions in [0, {n})")
@@ -168,12 +148,12 @@ class BatchCodec:
             # Erased points are the locator's roots, so their rows stay zero.
             phi = np.zeros((h, width), dtype=self.dtype)
             phi[known] = mul_rows(self.ft, rows, scale)
-            self._inverse_inplace(phi, 0, ops)
-            # X_i for i >= k vanishes on [0, k): only the derivative's
-            # first k coefficients reach the lost data points.
-            out = self._derivative(phi, ops)
+            inverse_rows(self.bt, phi, 0, ops)
+            # X_i for i >= k vanishes on [0, k): only the derivative's first
+            # k coefficients reach the lost data points.  phi is scaled in place.
+            out = derivative_rows(self.bt, phi, ops, k, overwrite_a=True)
             del phi
-            self._forward_inplace(out, 0, ops)
+            forward_rows(self.bt, out, 0, ops)
             out[lost] = mul_rows(self.ft, out[lost], divide)
             out[kept] = rows[:len(kept)]
             if ops is not None:
@@ -181,35 +161,3 @@ class BatchCodec:
             return out
 
         return h, rebuild
-
-    def decode(self, survivors: Mapping[int, np.ndarray],
-               ops: OpCounter | None = None) -> np.ndarray:
-        """Recover the (k x stripes) messages from their surviving rows.
-
-        survivors maps codeword positions in [0, n) to 1-D rows of equal
-        length: row j holds position j of every stripe.  Any k or more
-        survivors decode, and every row is checked, but only the k
-        lowest-index ones are gathered, converted to the codec's dtype
-        and repaired; if they are the data rows, ops is left as it is.
-        """
-        n, k = self.cp.n, self.cp.k
-        positions = sorted(survivors)
-        if positions and not 0 <= positions[0] <= positions[-1] < n:
-            raise ValueError(f"survivor positions must lie in [0, {n})")
-        if len(positions) < k:
-            raise TooManyErasuresError(
-                f"{n - len(positions)} erasures exceed repair capacity {n - k}")
-        # every row is checked, an attribute at a time, with no tuple
-        # built per row: at r=16 a decode may be given 65,535 of them
-        every = survivors.values()
-        if (ndims := set(map(attrgetter("ndim"), every))) != {1}:
-            raise ValueError(f"survivor rows must be 1-D, got dimensions {ndims}")
-        if len(widths := set(map(len, every))) != 1:
-            raise ValueError(f"survivor rows must be of one length, got {widths}")
-        # rows in another dtype are range-checked, and only the k used converted
-        if set(map(attrgetter("dtype"), every)) != {self.dtype}:
-            symbols(self.ft, np.concatenate([row for row in every if row.dtype != self.dtype]))
-        used = [survivors[j] for j in positions[:k]]
-        rows = self._symbols(np.concatenate(used).reshape(k, -1))
-        _, rebuild = self.repair(positions[:k])
-        return rows if rebuild is None else rebuild(rows, ops)

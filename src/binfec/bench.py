@@ -41,7 +41,8 @@ def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
 
     The payload covers `size` bytes (default: one stripe), and one
     encode and one decode each run over all of its stripes at once.
-    Decoding erases n - k positions chosen by the seeded RNG.
+    Decoding erases n - k positions chosen by the seeded RNG and times
+    the CLI's decode: a repair planned on the k survivors and its rebuild.
     Field-operation totals come from an instrumented re-run of the
     first stripe, outside the timed sections, and are deterministic for
     a fixed seed.
@@ -64,10 +65,12 @@ def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
     encode_s = time.perf_counter() - t0
 
     erased = set(rng.sample(range(n), n - k))
-    survivors = {j: received[j] for j in range(n) if j not in erased}
+    known = [j for j in range(n) if j not in erased]
+    rows = received[known]
 
     t0 = time.perf_counter()
-    decoded = codec.decode(survivors)
+    _, rebuild = codec.repair(known)
+    decoded = rows if rebuild is None else rebuild(rows)
     decode_s = time.perf_counter() - t0
 
     if not (decoded == messages).all():
@@ -75,5 +78,6 @@ def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
 
     ops = OpCounter()
     codec.encode(messages[:, :1], ops)
-    codec.decode({j: row[:1] for j, row in survivors.items()}, ops)
+    if rebuild is not None:
+        rebuild(rows[:, :1].copy(), ops)
     return BenchResult(r, k, stripes, encode_s, decode_s, ops.adds, ops.muls)

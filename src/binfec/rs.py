@@ -4,7 +4,7 @@ The codeword and erasure pattern live here.  CodeParams (re-exported)
 is binfec.shardfile's geometry value, and the pipeline itself, encoding
 in O(n lg k) and decoding in O(n lg n), is binfec.batch's.  encode()
 and decode() are BatchCodec's one-column view: list in, (h x 1) array
-through BatchCodec, list out.
+through BatchCodec.encode or BatchCodec.repair, list out.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
     Symbols of `received` at erased positions are ignored; the pattern
     is the source of truth.  The surviving symbols are assumed
     consistent with some codeword.  Any erasure count up to n - k is
-    handled by the same pipeline; a pattern that spares every message
-    position is a plain copy.
+    handled by one repair of the k lowest survivors; a pattern that
+    spares every message position is a plain copy.  Every surviving
+    symbol is checked to lie in the field.
     """
     codec = BatchCodec(cp, bt)
     if len(received) != cp.n:
@@ -75,4 +76,6 @@ def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
         raise ValueError("field tables do not match basis tables")
     erased = pattern.erased
     a = column(bt, [0 if j in erased else s for j, s in enumerate(received)])
-    return codec.decode({j: a[j] for j in pattern.known}, ops)[:, 0].tolist()
+    known = pattern.known[:cp.k]  # the k lowest survivors, as the CLI reads them
+    _, rebuild = codec.repair(known)
+    return (a[known] if rebuild is None else rebuild(a[known], ops))[:, 0].tolist()

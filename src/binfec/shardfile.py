@@ -347,8 +347,9 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
     Every file's header is read and its payload size taken from the file
     system.  The consensus is the encoding (code and original length,
     the header with index 0) that most readable headers carry; a tie goes
-    to the first file in path order.  A shard of another encoding, with the wrong payload
-    size, or repeating an index counts as missing.  The k lowest-index
+    to the first file in path order.  A shard of another encoding, with
+    the wrong payload size, named shard-NNNNN.lchs but holding another
+    index, or repeating an index counts as missing.  The k lowest-index
     usable shards are then chosen: every data shard when all are
     present, else the data shards present and the lowest parity shards.
     Each is opened to check its header and size again, and one that
@@ -383,6 +384,13 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
             continue
         if size != header.payload_size:
             skipped.append(f"{path}: payload is {size} bytes, expected {header.payload_size}")
+            continue
+        # a flipped index bit must not pass one shard's payload off as another's
+        name = os.path.basename(path)
+        stem = name.removeprefix("shard-").removesuffix(SHARD_SUFFIX)
+        if stem.isdecimal() and name == shard_filename(int(stem)) \
+                and int(stem) != header.shard_index:
+            skipped.append(f"{path}: header says shard index {header.shard_index}")
             continue
         if header.shard_index in usable:
             skipped.append(f"{path}: duplicate shard index {header.shard_index}")

@@ -23,8 +23,12 @@ R8_KS = (1, 2, 16, 32, 128)
 # one column gives; the Lagrange tests below are the independent reference.
 
 
-def _survivors(enc, erased):
-    return {j: enc[j] for j in range(enc.shape[0]) if j not in erased}
+def _decode(codec, enc, erased, ops=None):
+    """The k lowest survivors of enc, repaired as the CLI repairs them."""
+    known = [j for j in range(enc.shape[0]) if j not in erased][:codec.cp.k]
+    _, rebuild = codec.repair(known)
+    rows = enc[known]
+    return rows if rebuild is None else rebuild(rows, ops)
 
 
 def test_batch_encode_matches_scalar(bt8):
@@ -52,7 +56,7 @@ def test_batch_decode_matches_scalar(bt8, ft8):
             erased = set(pyrng.sample(range(256), size))
             received = enc.copy()
             received[sorted(erased)] = 0
-            dec = codec.decode(_survivors(enc, erased))
+            dec = _decode(codec, enc, erased)
             assert (dec == msgs).all()
             for col in range(0, 20, 7):
                 want = decode(cp, bt8, ft8, [int(x) for x in received[:, col]],
@@ -66,15 +70,15 @@ def test_batch_decode_no_erasures(bt8):
     codec = BatchCodec(cp, bt8)
     msgs = rng.integers(0, 256, (16, 5), dtype=np.uint16)
     enc = codec.encode(msgs)
-    assert (codec.decode(_survivors(enc, set())) == msgs).all()
+    assert (_decode(codec, enc, set()) == msgs).all()
 
 
-def test_batch_too_many_erasures(bt8):
+def test_batch_too_many_erasures(bt8, ft8):
     cp = CodeParams(8, 128)
     codec = BatchCodec(cp, bt8)
     enc = codec.encode(np.zeros((128, 2), dtype=np.uint16))
     with pytest.raises(TooManyErasuresError):
-        codec.decode(_survivors(enc, set(range(129))))
+        decode(cp, bt8, ft8, enc[:, 0].tolist(), ErasurePattern.of(256, range(129)))
 
 
 def test_batch_r16_round_trip(bt16):
@@ -87,7 +91,7 @@ def test_batch_r16_round_trip(bt16):
     want = encode(cp, bt16, [int(x) for x in msgs[:, 0]]).symbols
     assert want == [int(x) for x in enc[:, 0]]
     erased = set(pyrng.sample(range(1 << 16), 60_000))
-    assert (codec.decode(_survivors(enc, erased)) == msgs).all()
+    assert (_decode(codec, enc, erased) == msgs).all()
 
 
 def _assert_parity_matches_lagrange(ft, k, msgs, enc, stripes, positions):
@@ -114,7 +118,7 @@ def test_batch_multi_stripe_matches_lagrange_oracle(bt8, ft8):
         picks = [0, stripes - 1] + pyrng.sample(range(1, stripes - 1), 3)
         _assert_parity_matches_lagrange(ft8, 16, msgs, enc, picks, range(16, 256))
         erased = set(pyrng.sample(range(256), 240))
-        assert (codec.decode(_survivors(enc, erased)) == msgs).all()
+        assert (_decode(codec, enc, erased) == msgs).all()
 
 
 def test_batch_r16_multi_stripe_matches_lagrange_oracle(bt16, ft16):
@@ -129,7 +133,7 @@ def test_batch_r16_multi_stripe_matches_lagrange_oracle(bt16, ft16):
     positions = [16, n - 1] + pyrng.sample(range(17, n - 1), 200)
     _assert_parity_matches_lagrange(ft16, 16, msgs, enc, range(3), positions)
     erased = set(pyrng.sample(range(n), n - 16))
-    assert (codec.decode(_survivors(enc, erased)) == msgs).all()
+    assert (_decode(codec, enc, erased) == msgs).all()
 
 
 def test_batch_shape_validation(bt8):
@@ -146,51 +150,45 @@ def test_batch_shape_validation(bt8):
         codec.encode(np.ones((32, 2), dtype=bool))
 
 
-def test_batch_decode_rejects_invalid_survivor_maps(bt8):
+def test_repair_from_k_minus_one_positions_is_too_many_erasures(bt8):
     codec = BatchCodec(CodeParams(8, 32), bt8)
-    enc = codec.encode(np.zeros((32, 4), dtype=np.uint8))
     with pytest.raises(TooManyErasuresError):
-        codec.decode({j: enc[j] for j in range(1, 32)})  # k - 1 survivors
-    with pytest.raises(ValueError):
-        codec.decode({j: enc[j] for j in range(1, 32)} | {256: enc[0]})
-    with pytest.raises(ValueError):
-        codec.decode({j: enc[j] for j in range(1, 33)} | {40: enc[40, :3]})
-    with pytest.raises(ValueError):
-        codec.decode({j: enc[j:j + 1] for j in range(1, 33)})  # 2-D rows
+        codec.repair(range(1, 32))
+    with pytest.raises(TooManyErasuresError):
+        codec.repair([])
 
 
-def test_batch_decode_rejects_symbols_outside_the_field(bt8):
-    # a received symbol of 256 in a wider dtype must not be read as
-    # another table entry
-    codec = BatchCodec(CodeParams(8, 16), bt8)
+def test_batch_decode_rejects_symbols_outside_the_field(bt8, ft8):
+    # a received symbol of 256 must not be read as another table entry:
+    # rs.decode checks the whole received word, not only the k it uses,
+    # and a rebuild takes only the codec's dtype, which holds no such value
+    cp = CodeParams(8, 16)
+    codec = BatchCodec(cp, bt8)
     received = codec.encode(np.zeros((16, 3), dtype=np.uint8)).astype(np.uint16)
     received[20, 1] = 256
-    with pytest.raises(ValueError):
-        codec.decode(_survivors(received, {0}))
-
-
-def test_batch_decode_takes_survivors_in_a_wider_dtype(bt8):
-    # int16 rows, as a caller might hold them, decode like the codec's own
-    codec = BatchCodec(CodeParams(8, 16), bt8)
-    msgs = np.arange(48, dtype=np.uint8).reshape(16, 3)
-    enc = codec.encode(msgs).astype(np.int16)
-    dec = codec.decode(_survivors(enc, {0, 5, 17, 200}))
-    assert dec.dtype == np.uint8
-    assert (dec == msgs).all()
+    with pytest.raises(ValueError, match="symbols must lie in"):
+        decode(cp, bt8, ft8, received[:, 1].tolist(), ErasurePattern.of(256, {0}))
+    _, rebuild = codec.repair(range(1, 17))
+    with pytest.raises(ValueError, match="row kernels take uint8"):
+        rebuild(np.ascontiguousarray(received[1:17]))
 
 
 @pytest.mark.parametrize("r, k, lost", [(8, 16, set()), (8, 16, {3}), (16, 128, {0, 77})])
 def test_decode_from_every_survivor_equals_decode_from_the_k_lowest(bt8, bt16, r, k, lost):
-    # rows beyond the k lowest are checked but neither converted nor used
-    codec = BatchCodec(CodeParams(r, k), bt8 if r == 8 else bt16)
+    # rs.decode reads only the k lowest survivors: every other one may
+    # be erased from its pattern, and the decode is the same
+    bt = bt8 if r == 8 else bt16
+    cp, n = CodeParams(r, k), 1 << r
+    codec = BatchCodec(cp, bt)
     msgs = np.random.default_rng(89 + r + len(lost)).integers(0, 1 << r, (k, 5),
                                                               dtype=codec.dtype)
-    every = _survivors(codec.encode(msgs), lost)
-    lowest = dict(sorted(every.items())[:k])
-    assert (codec.decode(lowest) == msgs).all()
-    assert (codec.decode(every) == msgs).all()
-    wider = {j: row.astype(np.int32) for j, row in every.items()}
-    assert (codec.decode(wider) == msgs).all()
+    enc = codec.encode(msgs)
+    lowest = [j for j in range(n) if j not in lost][:k]
+    only_lowest = ErasurePattern.of(n, set(range(n)) - set(lowest))
+    for col in range(5):
+        received = enc[:, col].tolist()
+        every = decode(cp, bt, bt.ft, received, ErasurePattern.of(n, lost))
+        assert every == decode(cp, bt, bt.ft, received, only_lowest) == msgs[:, col].tolist()
 
 
 def test_batch_decode_of_parity_loss_does_no_field_arithmetic(bt8):
@@ -198,7 +196,7 @@ def test_batch_decode_of_parity_loss_does_no_field_arithmetic(bt8):
     msgs = np.random.default_rng(87).integers(0, 256, (16, 5), dtype=np.uint8)
     enc = codec.encode(msgs)
     ops = OpCounter()
-    assert (codec.decode(_survivors(enc, set(range(16, 256))), ops) == msgs).all()
+    assert (_decode(codec, enc, set(range(16, 256)), ops) == msgs).all()
     assert (ops.adds, ops.muls) == (0, 0)
 
 
@@ -235,8 +233,8 @@ def _decode_counts(h, k, lost, nonzero, stripes=1):
     return adds * stripes, muls * stripes + nonzero
 
 
-def _counted_decode(monkeypatch, codec, survivors):
-    """codec.decode(survivors) with its OpCounter and the number of
+def _counted_decode(monkeypatch, codec, enc, erased):
+    """_decode(codec, enc, erased) with its OpCounter and the number of
     nonzero derivative outputs it divided."""
     nonzero = []
     original = batch.derivative_rows
@@ -248,15 +246,15 @@ def _counted_decode(monkeypatch, codec, survivors):
 
     monkeypatch.setattr(batch, "derivative_rows", counting)
     ops = OpCounter()
-    out = codec.decode(survivors, ops)
+    out = _decode(codec, enc, erased, ops)
     return out, ops, nonzero[0] if nonzero else 0
 
 
 @pytest.mark.parametrize("r, ks", ((8, (1, 16, 64)), (16, (1, 16))))
 def test_repair_runs_at_the_subspace_its_survivors_span(monkeypatch, bt8, bt16, r, ks):
     # k survivors confined to [0, h), one of them in [h/2, h), plus a few
-    # above h that are checked but not used: the decode runs at h points
-    # and its counts are the closed forms at h, for every h from k to n
+    # above h that the decode does not read: it runs at h points and its
+    # counts are the closed forms at h, for every h from k to n
     bt = bt8 if r == 8 else bt16
     n = 1 << r
     rng = np.random.default_rng(89)
@@ -270,9 +268,10 @@ def test_repair_runs_at_the_subspace_its_survivors_span(monkeypatch, bt8, bt16, 
             known = {h - 1 - pyrng.randrange(h // 2)} if h > k else set()
             known |= set(pyrng.sample(range(h // 2 if h > k else h), k - len(known)))
             extra = set(pyrng.sample(range(h, n), min(3, n - h)))
-            survivors = {j: enc[j] for j in known | extra}
+            survivors = known | extra
             assert codec.repair(sorted(survivors)[:k])[0] == h, (k, h)
-            out, ops, nonzero = _counted_decode(monkeypatch, codec, survivors)
+            erased = set(range(n)) - survivors
+            out, ops, nonzero = _counted_decode(monkeypatch, codec, enc, erased)
             assert (out == msgs).all(), (k, h)
             lost = k - len(known & set(range(k)))
             if not lost:
@@ -288,7 +287,7 @@ def test_one_lost_data_shard_is_repaired_at_twice_k(monkeypatch, bt8, bt16, r, k
     codec = BatchCodec(CodeParams(r, k), bt8 if r == 8 else bt16)
     msgs = np.random.default_rng(90).integers(0, 1 << r, (k, 1)).astype(codec.dtype)
     enc = codec.encode(msgs)
-    out, ops, nonzero = _counted_decode(monkeypatch, codec, _survivors(enc, {3}))
+    out, ops, nonzero = _counted_decode(monkeypatch, codec, enc, {3})
     assert (out == msgs).all()
     assert (ops.adds, ops.muls) == _decode_counts(h, k, 1, nonzero)
 
@@ -296,14 +295,14 @@ def test_one_lost_data_shard_is_repaired_at_twice_k(monkeypatch, bt8, bt16, r, k
 def test_repair_takes_k_distinct_positions_in_range(bt8):
     codec = BatchCodec(CodeParams(8, 4), bt8)
     assert codec.repair([3, 2, 1, 0]) == (4, None)  # the data rows: nothing to rebuild
-    for bad in ([0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 1, 2], [0, 1, 2, 256], [-1, 0, 1, 2]):
+    for bad in ([0, 1, 2, 3, 4], [0, 1, 1, 2], [0, 1, 2, 256], [-1, 0, 1, 2]):
         with pytest.raises(ValueError, match="distinct positions"):
             codec.repair(bad)
 
 
 def test_one_repair_plan_rebuilds_any_run_of_stripes(monkeypatch, bt8):
     # the locator is computed once, by repair; rebuild reuses it for
-    # every window, whatever its width, and ops counts as decode's do
+    # every window, whatever its width, and ops counts as a fresh plan's do
     calls = []
     original = batch.locator_values
 
@@ -323,9 +322,10 @@ def test_one_repair_plan_rebuilds_any_run_of_stripes(monkeypatch, bt8):
         out = rebuild(np.ascontiguousarray(enc[known, lo:hi]), ops)
         assert (out == msgs[:, lo:hi]).all(), (lo, hi)
         decoded = OpCounter()
-        assert (codec.decode({j: enc[j, lo:hi] for j in known}, decoded) == out).all()
+        _, fresh = codec.repair(known)
+        assert (fresh(np.ascontiguousarray(enc[known, lo:hi]), decoded) == out).all()
         assert (ops.adds, ops.muls) == (decoded.adds, decoded.muls)
-    assert len(calls) == 1 + 3  # one more for each decode, none for rebuild
+    assert len(calls) == 1 + 3  # one more for each fresh plan, none for rebuild
 
 
 @pytest.mark.parametrize("r, k, stripes, erased, limit_mib", (

@@ -349,6 +349,25 @@ def test_mismatched_shard_treated_as_missing(tmp_path):
     assert out.read_bytes() == data
 
 
+def test_a_shard_whose_header_index_disagrees_with_its_name_is_skipped(tmp_path, capsys):
+    # a flipped bit makes shard-00001.lchs claim index 5, and it sorts
+    # before the real shard 5: taken for it, its payload would repair
+    # the lost data shard into wrong bytes with exit 0
+    data = random.Random(1).randbytes(100_000)
+    outdir = _encode(tmp_path, data, k=4)
+    target = outdir / shard_filename(1)
+    raw = bytearray(target.read_bytes())
+    raw[7] ^= 4  # the index's low byte, 1 -> 5
+    target.write_bytes(bytes(raw))
+    os.remove(outdir / shard_filename(4))
+    out = tmp_path / "out.bin"
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    err = capsys.readouterr().err
+    assert f"skipping {target}: header says shard index 5" in err
+    assert err.count("skipping") == 1
+
+
 def test_foreign_shard_sorting_first_is_outvoted(tmp_path, capsys):
     data = random.Random(111).randbytes(3000)
     (tmp_path / "mine").mkdir()
