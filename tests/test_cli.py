@@ -1,7 +1,9 @@
 import collections
 import gc
+import json
 import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -335,6 +337,47 @@ def test_insufficient_shards_errors(tmp_path, capsys):
     assert "need at least 128" in capsys.readouterr().err
 
 
+def _temp_files(*folders):
+    """The hidden .NAME.PID.tmp files a decode may leave in folders."""
+    return [name for folder in folders for name in os.listdir(folder) if name.endswith(".tmp")]
+
+
+def test_decode_to_a_symlink_writes_its_target(tmp_path, capsys):
+    data = random.Random(154).randbytes(1000)
+    outdir = _encode(tmp_path, data, k=16)
+    os.remove(outdir / shard_filename(2))  # a repair
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / "target.bin", tmp_path / "link.bin"
+    target.write_bytes(b"old bytes")
+    link.symlink_to(os.path.join("real", "target.bin"))
+    assert main(["decode", "--shards", str(outdir), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("real", "target.bin")
+    assert target.read_bytes() == data
+    assert _temp_files(tmp_path, tmp_path / "real") == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_decode_refuses_an_out_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys, kind):
+    outdir = _encode(tmp_path, random.Random(155).randbytes(1000), k=16)
+    out = tmp_path / "out"
+    if kind == "fifo":
+        os.mkfifo(out)
+    else:
+        out.mkdir()
+    writes = []
+    monkeypatch.setattr(cli, "pwrite_all", lambda *args: writes.append(args))
+    capsys.readouterr()
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {os.path.realpath(out)} is not a regular file\n"
+    assert writes == []  # refused before any window is written
+    if kind == "fifo":
+        assert stat.S_ISFIFO(os.stat(out).st_mode)
+    else:
+        assert os.listdir(out) == []
+    assert _temp_files(tmp_path) == []
+
+
 def test_mismatched_shard_treated_as_missing(tmp_path):
     rng = random.Random(104)
     data = rng.randbytes(2000)
@@ -538,9 +581,42 @@ def test_module_entry_fails_when_its_summary_is_lost(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.skipif(cli._worker_count(2) < 2, reason="forks no worker on one CPU")
+def test_every_fork_is_from_a_single_threaded_process(tmp_path):
+    # with OPENBLAS_NUM_THREADS unset, main sets it before numpy starts
+    # a thread of its own, so the workers fork from a one-thread process
+    data = tmp_path / "in.bin"
+    data.write_bytes(random.Random(156).randbytes(3 * 16 * 32768 + 5))  # three chunks at k=16
+    # each fork records this process's threads and whether numpy is loaded
+    code = ("import json, os, sys\n"
+            "from binfec.cli import main\n"
+            "forks = []\n"
+            "os.register_at_fork(before=lambda: forks.append(\n"
+            "    [len(os.listdir('/proc/self/task')), 'numpy' in sys.modules]))\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(forks))\n")
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+
+    def assert_forks_single_threaded(*args):
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              env=dict(env, PYTHONPATH=SRC), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        forks = json.loads(proc.stdout.splitlines()[-1])
+        assert {threads for threads, _ in forks} == {1}, forks
+        assert forks[-1][1], forks  # the last fork came after numpy's import
+
+    shards = tmp_path / "shards"
+    assert_forks_single_threaded("encode", "--in", data, "--out", shards, "--k", 16)
+    os.remove(shards / shard_filename(3))  # a repair, which loads numpy before it forks
+    assert_forks_single_threaded("decode", "--shards", shards, "--out", tmp_path / "out.bin")
+    assert (tmp_path / "out.bin").read_bytes() == data.read_bytes()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
-def test_main_runs_without_the_collector_and_restores_it(tmp_path, monkeypatch, capsys,
-                                                          enabled):
+def test_main_runs_its_command_with_the_callers_collector_setting(tmp_path, monkeypatch,
+                                                                  capsys, enabled):
     during = []
     read_shards = cli.read_shards
 
@@ -556,19 +632,18 @@ def test_main_runs_without_the_collector_and_restores_it(tmp_path, monkeypatch, 
         os.remove(outdir / shard_filename(0))
         assert main(["decode", "--shards", str(outdir), "--out", str(tmp_path / "a")]) == 0
         assert gc.isenabled() == enabled
-        # a reported failure restores it too
         assert main(["decode", "--shards", str(tmp_path / "none"),
                      "--out", str(tmp_path / "b")]) == 1
         assert gc.isenabled() == enabled
     finally:
         gc.enable()
-    assert during == [False, False]
+    assert during == [enabled, enabled]
     capsys.readouterr()
 
 
 def test_an_encode_and_repair_leave_no_cyclic_garbage_a_chunk(tmp_path, monkeypatch, capsys):
-    # main runs its command with the collector off, which holds memory
-    # flat only while a chunk's work leaves no reference cycles behind
+    # a chunk's work leaves no reference cycles behind, so the collector
+    # finds no more garbage in a long file than in a short one
     monkeypatch.setattr(shardfile, "CHUNK_BYTES", 16 * 64)  # 64 stripes a chunk at k=16
     monkeypatch.setattr(cli, "_worker_count", lambda chunks: 1)  # every chunk in this process
     rng = random.Random(153)
