@@ -53,7 +53,7 @@ from .basis import BasisTables
 from .derivative import derivative_rows
 from .field import SYMBOL_DTYPE
 from .shardfile import CodeParams
-from .transform import OpCounter, forward_rows, inverse_rows, mul_rows, symbols
+from .transform import OpCounter, check_symbols, forward_rows, inverse_rows, mul_rows
 from .walsh import locator_values
 
 
@@ -82,12 +82,13 @@ class BatchCodec:
         in position order up to n.  Every block is computed into one
         buffer, so a block's rows are valid only until the next block is
         asked for: a caller that keeps them copies them.  The messages
-        are checked when the first block is asked for.
+        (in the codec's dtype) are checked when the first block is asked for.
         """
         cp = self.cp
         if messages.ndim != 2 or messages.shape[0] != cp.k:
             raise ValueError(f"expected a (k={cp.k} x stripes) array, got shape {messages.shape}")
-        coeffs = symbols(self.ft, messages).copy()  # C order, as the kernels need
+        check_symbols(self.ft, messages)
+        coeffs = messages.copy()  # C order, as the kernels need
         yield 0, coeffs
         inverse_rows(self.bt, coeffs, 0, ops)
         block = np.empty_like(coeffs)
@@ -151,7 +152,7 @@ class BatchCodec:
             inverse_rows(self.bt, phi, 0, ops)
             # X_i for i >= k vanishes on [0, k): only the derivative's first
             # k coefficients reach the lost data points.  phi is scaled in place.
-            out = derivative_rows(self.bt, phi, ops, k, overwrite_a=True)
+            out = derivative_rows(self.bt, phi, ops, k)
             del phi
             forward_rows(self.bt, out, 0, ops)
             out[lost] = mul_rows(self.ft, out[lost], divide)

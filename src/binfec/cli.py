@@ -246,6 +246,8 @@ def _replacing(path: str):
     fh = open(temp, "xb")
     try:
         with fh:
+            if os.path.isfile(path):  # the replacement keeps the file's permission bits
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             yield fh
         os.replace(temp, path)
     except BaseException:

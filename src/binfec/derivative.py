@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import BasisTables
-from .transform import CoeffVec, OpCounter, column, mul_rows, symbols
+from .transform import CoeffVec, OpCounter, check_in_place, column, mul_rows
 
 
 def derivative_direct(bt: BasisTables, coeffs: CoeffVec) -> CoeffVec:
@@ -57,8 +57,7 @@ def derivative_fast(bt: BasisTables, coeffs: CoeffVec,
 
 
 def derivative_rows(bt: BasisTables, a: np.ndarray,
-                    ops: OpCounter | None = None, k: int | None = None,
-                    overwrite_a: bool = False) -> np.ndarray:
+                    ops: OpCounter | None = None, k: int | None = None) -> np.ndarray:
     """First k outputs of derivative_fast() on every column of (h x stripes) a.
 
     k is a power of two up to h (the default).  Level l adds scaled
@@ -74,23 +73,21 @@ def derivative_rows(bt: BasisTables, a: np.ndarray,
                          (h/2) lg h - (h - 1) at k = h (all but the last)
         multiplications  k (1 + lg h - lg k) + (nonzero outputs)
 
-    a is left as it is, in any memory layout and integer dtype; the
-    result is a new (k x stripes) array of symbols.  With overwrite_a,
-    a caller that has no further use for a lets its rows [0, k) be
-    scaled in place, so that no (k x stripes) copy of them is made.
+    a is C-contiguous symbols, as the transform kernels take.  Its rows
+    [0, k) are scaled in place, with no copy made, and its rows from k up
+    are left as they are; the result is a new (k x stripes) array.
     """
-    a = symbols(bt.ft, a)
+    check_in_place(bt.ft, a)
     h = a.shape[0]
     k = h if k is None else k
     if not 1 <= k <= h or k & (k - 1):
         raise ValueError(f"k must be a power of two up to {h}, got {k}")
     stripes = a.size // h
-    scaled = mul_rows(bt.ft, a[:k], bt.b_prod[:k], out=a[:k] if overwrite_a else None)
+    scaled = mul_rows(bt.ft, a[:k], bt.b_prod[:k], out=a[:k])
     acc = np.zeros(scaled.shape, scaled.dtype)  # C order, so that each reshape is a view
     for l in range(k.bit_length() - 1):
         shape = (k >> (l + 1), 2, stripes << l)
         acc.reshape(shape)[:, 0] ^= scaled.reshape(shape)[:, 1]
-    del scaled  # one array fewer alive during the mul_rows below
     higher = range(k.bit_length() - 1, h.bit_length() - 1)
     for l in higher:
         rows = slice(1 << l, (1 << l) + k)

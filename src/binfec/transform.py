@@ -20,23 +20,23 @@ its v += u runs.  The array must be C-contiguous,
 so that each reshape is a view of it.  forward() and inverse() are
 their one-column view, list in and list out.
 
-Symbols are SYMBOL_DTYPE[r]: uint8 at r=8, uint16 at r=16, and the
-kernels reject rows of any other dtype before writing anything.  They
-read the butterfly factors BasisTables.w_hat and the field tables
+Symbols are SYMBOL_DTYPE[r]: uint8 at r=8, uint16 at r=16.  The kernels
+reject rows of any other dtype before writing anything, and column() is
+the one place the codec converts values to it.  The kernels read the
+butterfly factors BasisTables.w_hat and the field tables
 FieldTables.arrays, read-only arrays each built once by the object that
 owns it.  mul_rows multiplies rows in pieces of about _PIECE symbols
-(several whole rows, or part of a wide one), and stores each piece
-into the output, which may be the input itself, or, for a butterfly,
-XORs it straight into u: whatever the rows' size, a multiply holds one
-piece's temporaries.  At r=8 each row of a piece is copied into a
-bytearray and translated through FieldArrays.product_rows[f], the 256
-bytes of its factor f times every symbol: one C byte-table lookup per
-symbol, with no index buffer and no table built per call.  Each row
-costs 0.5-1 us beyond its 0.5 ns a byte, which a one-column call pays
-on every one of its short rows.  At r=16 a product table would not
-fit, so the multiply adds logs and looks the sum up in the exp table
-stored twice over, so no modular reduction is needed; zero operands
-are masked explicitly.
+(several whole rows, or part of a wide one), and stores each piece into
+the output, which may be the input itself, or, for a butterfly, XORs it
+straight into u: whatever the rows' size, a multiply holds one piece's
+temporaries.  At r=8 each row of a piece is copied into a bytearray and
+translated through FieldArrays.product_rows[f], the 256 bytes of its
+factor f times every symbol: one C byte-table lookup per symbol, with no
+index buffer and no table built per call.  Each row costs 0.5-1 us
+beyond its 0.5 ns a byte, which a one-column call pays on every one of
+its short rows.  At r=16 a product table would not fit, so the multiply
+adds logs and looks the sum up in the exp table stored twice over, so no
+modular reduction is needed; zero operands are masked explicitly.
 
 Every operation is exact; OpCounter instrumentation counts the field
 additions and multiplications the kernels execute, level by level, so
@@ -94,25 +94,12 @@ class OpCounter:
     muls: int = 0
 
 
-def symbols(ft: FieldTables, a: np.ndarray) -> np.ndarray:
-    """a in ft's symbol dtype; in another dtype, every value must lie in [0, 2^r).
-
-    A wider dtype can hold values outside the field, which the table
-    lookups would read as other entries: those are rejected, and so is
-    a dtype that is not integer (float, bool, object), which a cast
-    would truncate.
-    """
-    if a.dtype == SYMBOL_DTYPE[ft.r]:
-        return a
-    if a.dtype.kind not in "iu":
-        raise ValueError(f"symbols must be integers in [0, {ft.order}), got dtype {a.dtype}")
-    if ((a < 0) | (a >= ft.order)).any():
-        raise ValueError(f"symbols must lie in [0, {ft.order})")
-    return a.astype(SYMBOL_DTYPE[ft.r])
-
-
 def column(bt: BasisTables, data: list[int], shift: int = 0) -> np.ndarray:
-    """A size-h vector as the (h x 1) array the row kernels run on."""
+    """A size-h vector as a new (h x 1) array of symbols: the codec's one conversion.
+
+    A value outside [0, 2^r) would be read by the table lookups as another
+    entry, and a cast would truncate one that is not an integer: both are refused.
+    """
     h = len(data)
     if h < 1 or h & (h - 1):
         raise ValueError(f"transform size must be a power of two, got {h}")
@@ -120,7 +107,12 @@ def column(bt: BasisTables, data: list[int], shift: int = 0) -> np.ndarray:
         raise ValueError(f"transform size {h} exceeds table capacity {bt.max_h}")
     if not 0 <= shift < bt.ft.order:
         raise ValueError(f"shift {shift} outside field of size {bt.ft.order}")
-    return symbols(bt.ft, np.asarray(data).reshape(h, 1))
+    a = np.asarray(data).reshape(h, 1)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers in [0, {bt.ft.order}), got dtype {a.dtype}")
+    if ((a < 0) | (a >= bt.ft.order)).any():
+        raise ValueError(f"symbols must lie in [0, {bt.ft.order})")
+    return a.astype(SYMBOL_DTYPE[bt.ft.r])
 
 
 def forward(bt: BasisTables, coeffs: CoeffVec, shift: int = 0,
@@ -149,7 +141,7 @@ def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray,
     its rows: a butterfly's u += f * v with no product array.  The rows
     written are returned.
     """
-    _check_symbols(ft, v)
+    check_symbols(ft, v)
     arrays = ft.arrays
     store = np.copyto if add_to is None else _add
     if add_to is not None:
@@ -177,19 +169,19 @@ def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray,
     return out
 
 
-def _check_symbols(ft: FieldTables, a: np.ndarray) -> None:
+def check_symbols(ft: FieldTables, a: np.ndarray) -> None:
     # another dtype would be misread: at r=8, translate reads its bytes
     if a.dtype != SYMBOL_DTYPE[ft.r]:
         raise ValueError(f"row kernels take {np.dtype(SYMBOL_DTYPE[ft.r])} symbols "
                          f"at r={ft.r}, got dtype {a.dtype}")
 
 
-def _check_in_place(ft: FieldTables, a: np.ndarray) -> None:
+def check_in_place(ft: FieldTables, a: np.ndarray) -> None:
     # checked before the level loop, which an h = 1 array never enters
     if not a.flags.c_contiguous:
         # reshape would copy, and the level would be lost in the copy
         raise ValueError("row kernels transform C-contiguous arrays in place")
-    _check_symbols(ft, a)
+    check_symbols(ft, a)
 
 
 def _add(dest: np.ndarray, product: np.ndarray) -> np.ndarray:
@@ -222,7 +214,7 @@ def _level(bt: BasisTables, a: np.ndarray, i: int, shift: int,
 def forward_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
                  ops: OpCounter | None = None) -> None:
     """forward() on every column of an (h x stripes) array, in place."""
-    _check_in_place(bt.ft, a)
+    check_in_place(bt.ft, a)
     for i in reversed(range(a.shape[0].bit_length() - 1)):
         u, v, factors, z = _level(bt, a, i, shift, ops)
         mul_rows(bt.ft, v[z:], factors[z:], add_to=u[z:])
@@ -232,7 +224,7 @@ def forward_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
 def inverse_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
                  ops: OpCounter | None = None) -> None:
     """inverse() on every column of an (h x stripes) array, in place."""
-    _check_in_place(bt.ft, a)
+    check_in_place(bt.ft, a)
     for i in range(a.shape[0].bit_length() - 1):
         u, v, factors, z = _level(bt, a, i, shift, ops)
         v ^= u

@@ -36,7 +36,7 @@ def test_batch_encode_matches_scalar(bt8):
     for k in R8_KS:
         cp = CodeParams(8, k)
         codec = BatchCodec(cp, bt8)
-        msgs = rng.integers(0, 256, (k, 20), dtype=np.uint16)
+        msgs = rng.integers(0, 256, (k, 20), dtype=codec.dtype)
         enc = codec.encode(msgs)
         assert enc.shape == (256, 20)
         for col, full in zip(msgs.T, enc.T):
@@ -50,7 +50,7 @@ def test_batch_decode_matches_scalar(bt8, ft8):
     for k in R8_KS:
         cp = CodeParams(8, k)
         codec = BatchCodec(cp, bt8)
-        msgs = rng.integers(0, 256, (k, 20), dtype=np.uint16)
+        msgs = rng.integers(0, 256, (k, 20), dtype=codec.dtype)
         enc = codec.encode(msgs)
         for size in (1, (256 - k) // 2, 256 - k):
             erased = set(pyrng.sample(range(256), size))
@@ -68,7 +68,7 @@ def test_batch_decode_no_erasures(bt8):
     rng = np.random.default_rng(83)
     cp = CodeParams(8, 16)
     codec = BatchCodec(cp, bt8)
-    msgs = rng.integers(0, 256, (16, 5), dtype=np.uint16)
+    msgs = rng.integers(0, 256, (16, 5), dtype=codec.dtype)
     enc = codec.encode(msgs)
     assert (_decode(codec, enc, set()) == msgs).all()
 
@@ -76,7 +76,7 @@ def test_batch_decode_no_erasures(bt8):
 def test_batch_too_many_erasures(bt8, ft8):
     cp = CodeParams(8, 128)
     codec = BatchCodec(cp, bt8)
-    enc = codec.encode(np.zeros((128, 2), dtype=np.uint16))
+    enc = codec.encode(np.zeros((128, 2), dtype=codec.dtype))
     with pytest.raises(TooManyErasuresError):
         decode(cp, bt8, ft8, enc[:, 0].tolist(), ErasurePattern.of(256, range(129)))
 

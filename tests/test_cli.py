@@ -357,6 +357,26 @@ def test_decode_to_a_symlink_writes_its_target(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_decode_onto_a_file_keeps_its_permission_bits(tmp_path, capsys):
+    # the new file is renamed onto the old one, so it must take the old
+    # file's mode, not the umask's, before any window is written
+    data = random.Random(156).randbytes(1000)
+    outdir = _encode(tmp_path, data, k=16)
+    os.remove(outdir / shard_filename(2))  # a repair
+    out = tmp_path / "out.bin"
+    out.write_bytes(b"old")
+    out.chmod(0o600)
+    umask = os.umask(0o022)
+    try:
+        assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o600
+    assert out.read_bytes() == data
+    assert _temp_files(tmp_path) == []
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("kind", ["fifo", "directory"])
 def test_decode_refuses_an_out_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys, kind):
     outdir = _encode(tmp_path, random.Random(155).randbytes(1000), k=16)

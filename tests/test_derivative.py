@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from binfec import derivative
 from binfec.basis import build_basis_tables
 from binfec.derivative import derivative_direct, derivative_fast, derivative_rows
-from binfec.field import tables_for
-from binfec.transform import CoeffVec, OpCounter
+from binfec.field import SYMBOL_DTYPE, tables_for
+from binfec.transform import CoeffVec, OpCounter, mul_rows
 
 from oracles import basis_to_monomial, mono_derivative, mono_eval, w_direct
 
@@ -119,30 +119,33 @@ def test_fast_method_takes_transform_lengths_only(bt8):
             derivative_fast(bt8, CoeffVec(bad))
 
 
-def test_rows_match_columns_in_any_layout(bt8):
+def test_rows_match_columns(bt8):
     rng = np.random.default_rng(47)
-    a = rng.integers(0, 256, (5, 32), dtype=np.uint8).T  # (32, 5), not C-contiguous
+    a = rng.integers(0, 256, (32, 5), dtype=np.uint8)
     before = a.copy()
     got = derivative_rows(bt8, a)
-    assert (a == before).all()
     for s in range(5):
-        assert got[:, s].tolist() == derivative_direct(bt8, CoeffVec(a[:, s].tolist())).data
+        assert got[:, s].tolist() == derivative_direct(bt8, CoeffVec(before[:, s].tolist())).data
 
 
 @pytest.mark.parametrize("r", (8, 16))
-def test_overwrite_a_gives_the_copying_result(bt8, bt16, r):
-    # rows [0, k) of a may be scaled in place; the result is the same,
-    # and the rows above k, which the higher levels read, are left alone
+def test_rows_below_k_are_scaled_in_place_and_the_rest_left(bt8, bt16, r):
+    # rows [0, k) of a are scaled by B_j in place; the rows from k up,
+    # which the higher levels read, are left alone, and the result is
+    # the direct formula's
     bt = bt8 if r == 8 else bt16
     rng = np.random.default_rng(49 + r)
     for h, k, stripes in ((1, 1, 3), (16, 16, 5), (256, 128, 4_099), (32, 16, 70_001),
                           (64, 4, 9)):
-        a = rng.integers(0, 1 << r, (h, stripes)).astype(np.uint8 if r == 8 else np.uint16)
-        want = derivative_rows(bt, a, k=k)
-        work = a.copy()
-        got = derivative_rows(bt, work, k=k, overwrite_a=True)
-        assert got.shape == (k, stripes) and (got == want).all(), (h, k)
-        assert (work[k:] == a[k:]).all(), (h, k)
+        a = rng.integers(0, 1 << r, (h, stripes)).astype(SYMBOL_DTYPE[r])
+        before = a.copy()
+        got = derivative_rows(bt, a, k=k)
+        assert got.shape == (k, stripes), (h, k)
+        assert (a[:k] == mul_rows(bt.ft, before[:k], bt.b_prod[:k])).all(), (h, k)
+        assert (a[k:] == before[k:]).all(), (h, k)
+        for s in sorted({0, stripes // 2, stripes - 1}):
+            want = derivative_direct(bt, CoeffVec(before[:, s].tolist())).data[:k]
+            assert got[:, s].tolist() == want, (h, k, s)
 
 
 @pytest.mark.parametrize("r, sizes", ((8, range(9)), (16, (3, 10, 16))))
@@ -155,10 +158,11 @@ def test_first_k_outputs_match_the_direct_formula(bt8, bt16, r, sizes):
         h = 1 << lg
         d = [rng.randrange(bt.ft.order) for _ in range(h)]
         want = derivative_direct(bt, CoeffVec(d)).data
-        a = np.array(d, dtype=np.uint16).reshape(h, 1)
+        a = np.array(d, dtype=SYMBOL_DTYPE[r]).reshape(h, 1)
         for lg_k in range(lg + 1):
             k = 1 << lg_k
-            assert derivative_rows(bt, a, k=k)[:, 0].tolist() == want[:k], (h, k)
+            # a fresh copy each time: the call scales rows [0, k) in place
+            assert derivative_rows(bt, a.copy(), k=k)[:, 0].tolist() == want[:k], (h, k)
 
 
 def test_truncated_counts_are_exact_and_are_the_work(mul_rows_work, bt8):
@@ -174,7 +178,7 @@ def test_truncated_counts_are_exact_and_are_the_work(mul_rows_work, bt8):
             k = 1 << lg_k
             work.clear()
             ops = OpCounter()
-            out = derivative_rows(bt8, a, ops, k)
+            out = derivative_rows(bt8, a.copy(), ops, k)
             terms = k // 2 * lg_k + k * (lg - lg_k)
             assert ops.adds == (terms - k) * 4
             assert ops.muls == k * (1 + lg - lg_k) * 4 + np.count_nonzero(out)

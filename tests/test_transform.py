@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from binfec import transform
 from binfec.basis import build_basis_tables
+from binfec.batch import BatchCodec, CodeParams
 from binfec.derivative import derivative_rows
 from binfec.field import DEFAULT_POLY, SYMBOL_DTYPE, tables_for
 from binfec.transform import (
@@ -251,8 +252,8 @@ def test_mul_rows_in_place_equals_the_copying_result(ft8, ft16, r):
 @pytest.mark.parametrize("width", (1, 2_047, 2_048))
 def test_row_kernels_take_only_the_symbol_dtype(bt8, width):
     # translate reads a row's bytes, so uint16 rows at r=8 would be read
-    # two bytes a symbol: the kernels refuse them at every width, before
-    # writing anything, and derivative_rows, which writes no input, converts
+    # two bytes a symbol: the kernels, and the codec's encode, refuse
+    # them at every width, before writing anything
     rng = np.random.default_rng(width)
     a = rng.integers(0, 256, (16, width), dtype=np.uint16)
     before = a.copy()
@@ -263,16 +264,18 @@ def test_row_kernels_take_only_the_symbol_dtype(bt8, width):
         mul_rows(bt8.ft, a, factors)
     with pytest.raises(ValueError, match="got dtype uint16"):
         mul_rows(bt8.ft, a, factors, add_to=acc)
-    for kernel in (forward_rows, inverse_rows):
+    for kernel in (forward_rows, inverse_rows, derivative_rows):
         with pytest.raises(ValueError, match="got dtype uint16"):
-            kernel(bt8, a, 0)
+            kernel(bt8, a)
         # a 1-point transform has no level, and is refused all the same
         with pytest.raises(ValueError, match="got dtype uint16"):
-            kernel(bt8, a[:1].copy(), 0)
+            kernel(bt8, a[:1].copy())
+    codec = BatchCodec(CodeParams(8, 16), bt8)
+    with pytest.raises(ValueError, match="got dtype uint16"):
+        codec.encode(a)
+    with pytest.raises(ValueError, match="got dtype uint16"):
+        next(codec.encode_blocks(a))
     assert (a == before).all() and (acc == acc_before).all()
-    got = derivative_rows(bt8, a)
-    assert got.dtype == np.uint8
-    assert (got == derivative_rows(bt8, a.astype(np.uint8))).all()
 
 
 def test_mul_rows_r8_builds_no_table_and_holds_one_piece_at_a_time(ft8):
@@ -358,13 +361,15 @@ def test_symbols_outside_the_field_are_rejected(bt8):
 
 def test_row_kernels_reject_arrays_they_cannot_transform_in_place(bt8):
     # a reshape of a non-C-contiguous array is a copy, which would take
-    # the transform and leave the caller's array as it was
+    # the transform and leave the caller's array as it was; the
+    # derivative, which scales rows in place, takes the same arrays
     a = np.arange(64, dtype=np.uint8).reshape(4, 16).T
-    for kernel in (forward_rows, inverse_rows):
-        with pytest.raises(ValueError):
-            kernel(bt8, a, 0)
-        with pytest.raises(ValueError):
-            kernel(bt8, np.asfortranarray(a), 0)
+    for kernel in (forward_rows, inverse_rows, derivative_rows):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernel(bt8, a)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernel(bt8, np.asfortranarray(a))
+    assert (a == np.arange(64).reshape(4, 16).T).all()
     b = np.ascontiguousarray(a)
     forward_rows(bt8, b, 0)
     assert [b[:, s].tolist() for s in range(4)] == [
