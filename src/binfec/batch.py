@@ -20,15 +20,15 @@ n/k of them.  encode copies the blocks into one (n x stripes) array.
 Decoding is repair(positions), the codec's one decode: a plan, made once
 for any number of stripes, from the k survivors a decode reads (the k
 lowest, for each caller).  h is the smallest power of two (at least k)
-whose prefix [0, h) holds them.  [0, h) is a subspace, and the code
+whose prefix [0, h) holds them.  [0, h) is a subspace: the code
 restricted to it is an (h, k) Reed-Solomon code in the same basis, with
 every other position of [0, h) erased.  At h = k the survivors are the
-message.  Otherwise they, each scaled by the erasure locator (computed
-once, in the plan), are evaluations of the product F * locator, which is
-zero at every erased point.  One h-point inverse transform, the formal
-derivative's first k coefficients, and one k-point forward transform
-later, each lost data value falls out as F'hat(j) / locator'(j):
-O(h lg h) a stripe, n lg n at most.
+message, which the plan's rebuild returns.  Otherwise they, each scaled
+by the erasure locator (computed once, in the plan), are evaluations of
+the product F * locator, which is zero at every erased point.  One
+h-point inverse transform, the formal derivative's first k coefficients,
+and one k-point forward transform later, each lost data value falls out
+as F'hat(j) / locator'(j): O(h lg h) a stripe, n lg n at most.
 
 A repaired window of W stripes has a fixed working set beside its k
 survivor rows: the (h x W) workspace that the inverse transform runs
@@ -112,17 +112,16 @@ class BatchCodec:
         """Plan a repair from the k distinct survivor positions a decode uses: (h, rebuild).
 
         h is the smallest power of two, at least k, whose prefix [0, h) holds
-        them.  At h = k they are the data positions and rebuild is None.
-        Otherwise rebuild(rows, ops=None) maps their (k x stripes) rows, in
-        position order and the codec's dtype, to the k data rows; ops, if given,
-        also counts the locator scaling (one multiplication per survivor) and
-        the division (one per lost data row), per stripe.  rows is left as it
-        is.  Fewer than k positions raise TooManyErasuresError.  A rebuild of W
-        stripes allocates the (h x W) workspace and the (k x W) array that the
-        derivative sums into and that becomes the output.  The derivative scales
-        the workspace, and its sum, in place, and every multiply works a piece
-        at a time, so at its peak a rebuild holds those two arrays and one
-        piece's temporaries.
+        them.  rebuild(rows, ops=None) maps their (k x stripes) rows, in
+        position order and the codec's dtype, to the k data rows: at h = k
+        the rows themselves.  Otherwise ops, if given, also counts the locator
+        scaling (one multiplication per survivor) and the division (one per
+        lost data row), per stripe.  rows is left as it is.  Fewer than k
+        positions raise TooManyErasuresError.  A rebuild of W stripes allocates
+        the (h x W) workspace and the (k x W) array that the derivative sums
+        into and that becomes the output.  The derivative scales both in
+        place, and every multiply works a piece at a time, so at its peak a
+        rebuild holds those two arrays and one piece's temporaries.
         """
         n, k = self.cp.n, self.cp.k
         positions = sorted(positions)
@@ -133,8 +132,11 @@ class BatchCodec:
                 not 0 <= positions[0] <= positions[-1] < n:
             raise ValueError(f"a repair takes {k} distinct positions in [0, {n})")
         h = max(k, 1 << int(positions[-1]).bit_length())
-        if h == k:  # every data row survives
-            return h, None
+        if h == k:  # every data row survives: the rows are the message
+            def copy(rows: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
+                check_symbols(self.ft, rows)
+                return rows
+            return h, copy
 
         known = np.array(positions)
         is_erased = np.ones(h, dtype=bool)

@@ -70,7 +70,7 @@ def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
 
     t0 = time.perf_counter()
     _, rebuild = codec.repair(known)
-    decoded = rows if rebuild is None else rebuild(rows)
+    decoded = rebuild(rows)
     decode_s = time.perf_counter() - t0
 
     if not (decoded == messages).all():
@@ -78,6 +78,5 @@ def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
 
     ops = OpCounter()
     codec.encode(messages[:, :1], ops)
-    if rebuild is not None:
-        rebuild(rows[:, :1].copy(), ops)
+    rebuild(rows[:, :1].copy(), ops)
     return BenchResult(r, k, stripes, encode_s, decode_s, ops.adds, ops.muls)

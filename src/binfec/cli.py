@@ -13,11 +13,12 @@ encode and decode stream the file: each handles one chunk of about
 shardfile.CHUNK_BYTES of file bytes at a time, so their memory does not
 grow with the file.  Encode refuses a directory holding shard files
 that it would not overwrite, which a later decode would count among the
-new shards.  It then creates or empties all n shard files in a pass of
-their own, in a second process while this one builds the codec's
-tables, appends each chunk's codewords to them one k-row block at a
-time, as each is computed, and writes the n headers last, once every
-chunk is written, so its input may be a pipe.
+new shards, or one of whose shard files is its input.  It then creates
+or empties all n shard files in a pass of their own, in a second
+process while this one builds the codec's tables, appends each chunk's
+codewords to them one k-row block at a time, as each is computed, and
+writes the n headers last, once every chunk is written, so its input
+may be a pipe.
 Decode reads each chunk's window of the k chosen shards, repairs or
 interleaves it (a repair copies each payload, as it is read, into the
 one array it repairs), and writes it at its offset in a file under a
@@ -178,13 +179,6 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     # a shard header holds log2(k) below r
     if code.k >= code.n:
         raise ValueError(f"k must be below n={code.n}, got {code.k}")
-    own = {shard_filename(j) for j in range(code.n)}
-    stale = [p for p in _shard_paths(args.outdir) if os.path.basename(p) not in own]
-    if stale:
-        raise ValueError(f"{args.outdir} holds {len(stale)} shard file(s) that this encode "
-                         f"would not overwrite, such as {stale[0]}; a decode would count "
-                         f"them among the new shards")
-
     # set in this process, worker 0: codec by prepare, and header by
     # encode_share once it has read the whole input
     codec = header = None
@@ -192,6 +186,17 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
     with open(args.input, "rb") as fh:
         info = os.fstat(fh.fileno())
+        own = {shard_filename(j) for j in range(code.n)}
+        paths = _shard_paths(args.outdir)
+        stale = [p for p in paths if os.path.basename(p) not in own]
+        if stale:
+            raise ValueError(f"{args.outdir} holds {len(stale)} shard file(s) that this encode "
+                             f"would not overwrite, such as {stale[0]}; a decode would count "
+                             f"them among the new shards")
+        # creating the shards empties them, so none may be the input
+        for p in paths:
+            if os.path.exists(p) and os.path.samestat(os.stat(p), info):
+                raise ValueError(f"{p} is the input file, which this encode would overwrite")
         workers = (_worker_count(-(-info.st_size // (code.chunk_stripes * code.stripe_bytes)))
                    if stat.S_ISREG(info.st_mode) else 1)
 
@@ -320,10 +325,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Before numpy's first import: binfec never calls BLAS, and without
-    # this OpenBLAS starts a thread of its own, so the workers would fork
-    # from a multi-threaded process.  A value the user has set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # Before numpy's first import, whatever the caller set: binfec never calls BLAS,
+    # and an OpenBLAS thread would make every worker fork from a multi-threaded process.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = argparse.ArgumentParser(
         prog="binfec",
         description="Erasure-code files into shards; any k of n rebuild the original.")

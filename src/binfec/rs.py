@@ -78,4 +78,4 @@ def decode(cp: CodeParams, bt: BasisTables, ft: FieldTables,
     a = column(bt, [0 if j in erased else s for j, s in enumerate(received)])
     known = pattern.known[:cp.k]  # the k lowest survivors, as the CLI reads them
     _, rebuild = codec.repair(known)
-    return (a[known] if rebuild is None else rebuild(a[known], ops))[:, 0].tolist()
+    return rebuild(a[known], ops)[:, 0].tolist()

@@ -125,7 +125,7 @@ def run_selftest(out: Callable[[str], None] = print) -> int:
         for erased in patterns:
             known = [j for j in range(256) if j not in erased]  # the k survivors
             _, rebuild = codec.repair(known)
-            dec = enc[known] if rebuild is None else rebuild(enc[known])
+            dec = rebuild(enc[known])
             ok = ok and (dec == msgs).all()
     report("codec", ok, "BatchCodec (256,k), k in {2,64,128}: 5 loss patterns "
            "decode, stripes 0 and 7 equal naive evaluation")

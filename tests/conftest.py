@@ -7,8 +7,13 @@ import pytest
 # safe only while OpenBLAS starts no threads of its own.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from hypothesis import settings
+
 from binfec.basis import build_basis_tables
 from binfec.field import tables_for
+
+# test_robustness.py's longer run: pytest --hypothesis-profile=robustness
+settings.register_profile("robustness")
 
 
 @pytest.fixture(scope="session")

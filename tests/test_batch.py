@@ -27,8 +27,7 @@ def _decode(codec, enc, erased, ops=None):
     """The k lowest survivors of enc, repaired as the CLI repairs them."""
     known = [j for j in range(enc.shape[0]) if j not in erased][:codec.cp.k]
     _, rebuild = codec.repair(known)
-    rows = enc[known]
-    return rows if rebuild is None else rebuild(rows, ops)
+    return rebuild(enc[known], ops)
 
 
 def test_batch_encode_matches_scalar(bt8):
@@ -294,7 +293,11 @@ def test_one_lost_data_shard_is_repaired_at_twice_k(monkeypatch, bt8, bt16, r, k
 
 def test_repair_takes_k_distinct_positions_in_range(bt8):
     codec = BatchCodec(CodeParams(8, 4), bt8)
-    assert codec.repair([3, 2, 1, 0]) == (4, None)  # the data rows: nothing to rebuild
+    h, rebuild = codec.repair([3, 2, 1, 0])  # the data rows: the rebuild returns them
+    rows = np.arange(8, dtype=codec.dtype).reshape(4, 2)
+    assert h == 4 and rebuild(rows) is rows
+    with pytest.raises(ValueError, match="row kernels take uint8"):
+        rebuild(rows.astype(np.uint16))  # as every rebuild, it takes only the codec's dtype
     for bad in ([0, 1, 2, 3, 4], [0, 1, 1, 2], [0, 1, 2, 256], [-1, 0, 1, 2]):
         with pytest.raises(ValueError, match="distinct positions"):
             codec.repair(bad)

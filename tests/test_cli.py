@@ -603,9 +603,11 @@ def test_module_entry_fails_when_its_summary_is_lost(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 @pytest.mark.skipif(cli._worker_count(2) < 2, reason="forks no worker on one CPU")
-def test_every_fork_is_from_a_single_threaded_process(tmp_path):
-    # with OPENBLAS_NUM_THREADS unset, main sets it before numpy starts
-    # a thread of its own, so the workers fork from a one-thread process
+@pytest.mark.parametrize("callers_threads", [None, "4"], ids=["unset", "4"])
+def test_every_fork_is_from_a_single_threaded_process(tmp_path, callers_threads):
+    # whatever the caller's OPENBLAS_NUM_THREADS, main sets it to 1 before
+    # numpy starts a thread of its own, so the workers fork from a
+    # one-thread process
     data = tmp_path / "in.bin"
     data.write_bytes(random.Random(156).randbytes(3 * 16 * 32768 + 5))  # three chunks at k=16
     # each fork records this process's threads and whether numpy is loaded
@@ -617,6 +619,8 @@ def test_every_fork_is_from_a_single_threaded_process(tmp_path):
             "assert main(sys.argv[1:]) == 0\n"
             "print(json.dumps(forks))\n")
     env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    if callers_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = callers_threads
 
     def assert_forks_single_threaded(*args):
         proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],

@@ -256,6 +256,29 @@ def test_encode_refuses_a_directory_holding_other_shards(tmp_path, capsys):
     assert _decode(r8, tmp_path / "out.bin") == b
 
 
+@pytest.mark.parametrize("size, name, link", [(3000, shard_filename(5), False),
+                                              (3 << 20, "in.bin", True)])
+def test_encode_refuses_an_input_among_its_own_shards(tmp_path, capsys, size, name, link):
+    # creating the shards would empty the input: the file itself at a
+    # shard's name, or a hard link to it there
+    data = random.Random(129).randbytes(size)
+    shards = tmp_path / "d"
+    shards.mkdir()
+    src = shards / name
+    src.write_bytes(data)
+    alias = shards / shard_filename(7) if link else src
+    if link:
+        os.link(src, alias)
+    listing = {p.name: (p.stat().st_mtime_ns, p.stat().st_size) for p in shards.iterdir()}
+    capsys.readouterr()
+    assert main(["encode", "--in", str(src), "--out", str(shards), "--k", "16"]) == 1
+    assert f"error: {alias} is the input file, which this encode would overwrite" in \
+        capsys.readouterr().err
+    assert src.read_bytes() == data
+    assert {p.name: (p.stat().st_mtime_ns, p.stat().st_size)
+            for p in shards.iterdir()} == listing
+
+
 @pytest.mark.parametrize("previous", [None, b"an earlier output"])
 def test_failed_decode_leaves_no_partial_output(tmp_path, monkeypatch, capsys, previous):
     monkeypatch.setattr(shardfile, "CHUNK_BYTES", 16 * 8)  # 8 stripes a chunk at k=16
