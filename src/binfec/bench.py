@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,30 +12,9 @@ from .batch import BatchCodec, CodeParams
 from .field import tables_for
 from .transform import OpCounter
 
-CSV_HEADER = "n,k,encode_s,decode_s,adds,muls"
-
-
-@dataclass
-class BenchResult:
-    r: int
-    k: int
-    stripes: int
-    encode_s: float
-    decode_s: float
-    adds: int
-    muls: int
-
-    @property
-    def n(self) -> int:
-        return 1 << self.r
-
-    def csv_line(self) -> str:
-        return (f"{self.n},{self.k},{self.encode_s:.6f},{self.decode_s:.6f},"
-                f"{self.adds},{self.muls}")
-
 
 def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
-              seed: int = 0) -> BenchResult:
+              seed: int = 0) -> dict:
     """Encode and decode a random payload with BatchCodec, the CLI's codec.
 
     The payload covers `size` bytes (default: one stripe), and one
@@ -45,7 +23,8 @@ def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
     the CLI's decode: a repair planned on the k survivors and its rebuild.
     Field-operation totals come from an instrumented re-run of the
     first stripe, outside the timed sections, and are deterministic for
-    a fixed seed.
+    a fixed seed.  The dict holds r, n, k, stripes, erasures, encode_s,
+    decode_s, adds and muls, in that order.
     """
     n = 1 << r
     if k is None:
@@ -79,4 +58,5 @@ def run_bench(r: int = 16, k: int | None = None, size: int | None = None,
     ops = OpCounter()
     codec.encode(messages[:, :1], ops)
     rebuild(rows[:, :1].copy(), ops)
-    return BenchResult(r, k, stripes, encode_s, decode_s, ops.adds, ops.muls)
+    return {"r": r, "n": n, "k": k, "stripes": stripes, "erasures": n - k,
+            "encode_s": encode_s, "decode_s": decode_s, "adds": ops.adds, "muls": ops.muls}

@@ -6,8 +6,8 @@ Subcommands:
               can rebuild it
     decode    rebuild the original file from a directory of shards
     selftest  run the built-in consistency suites
-    bench     time encode/decode for one configuration and print a CSV
-              line with field-operation counts
+    bench     time encode/decode for one configuration and print one
+              JSON object with its field-operation counts
 
 encode and decode stream the file: each handles one chunk of about
 shardfile.CHUNK_BYTES of file bytes at a time, so their memory does not
@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import signal
 import stat
 import sys
 
@@ -52,7 +53,6 @@ from .shardfile import (
     CodeParams,
     InsufficientShardsError,
     SHARD_SUFFIX,
-    ShardFormatError,
     ShardHeader,
     append_shards,
     bytes_to_stripes,
@@ -91,7 +91,7 @@ def _codec(code: CodeParams):
 
 
 # The failures main reports as one "error: ..." line and exit status 1.
-_REPORTED = (ValueError, OSError, InsufficientShardsError, ShardFormatError)
+_REPORTED = (ValueError, OSError, InsufficientShardsError)
 
 
 def _worker_count(chunks: int) -> int:
@@ -109,6 +109,7 @@ def _run_worker(share, w: int, workers: int, parent: int, report: int) -> None:
     A failure is written to the report pipe as the text main would print.
     os._exit skips the parent's cleanup, which the child inherited on its stack.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the parent's kill ends this child at once
     status = 1
     try:
         for _ in share(w, workers):
@@ -158,9 +159,7 @@ def _run_in_workers(share, workers: int) -> None:
         failed = False
     finally:
         errors = []
-        if failed and children:
-            import signal  # 1 ms of import that a healthy decode never needs
-
+        if failed:
             for pid, _ in children:
                 os.kill(pid, signal.SIGTERM)
         for pid, report_r in children:
@@ -313,14 +312,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import CSV_HEADER, run_bench
+    import json
 
-    result = run_bench(r=args.r, k=args.k, size=args.size, seed=args.seed)
-    print(f"encode: {result.encode_s:.3f} s for {result.stripes} stripe(s), "
-          f"(n,k)=({result.n},{result.k})")
-    print(f"decode: {result.decode_s:.3f} s with {result.n - result.k} erasures")
-    print(CSV_HEADER)
-    print(result.csv_line())
+    from .bench import run_bench
+
+    print(json.dumps(run_bench(r=args.r, k=args.k, size=args.size, seed=args.seed)))
     return 0
 
 
@@ -370,9 +366,12 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The entry point of `python -m binfec.cli` and the binfec script: main, then os._exit.
 
+    SIGTERM exits with status 128 + SIGTERM through SystemExit, so a decode's
+    temporary file is removed and every worker is killed and reaped first.
     os._exit skips the teardown, which walks every object numpy made.  Every
     file is closed by then; a failed flush of stdout or stderr fails the run.
     """
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     status = main()
     for stream in filter(None, (sys.stdout, sys.stderr)):  # None when closed at start
         try:

@@ -14,7 +14,6 @@ patterns per k must repair to the message from their k survivors.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .transform import CoeffVec, EvalVec, OpCounter, forward, inverse
 from .walsh import locator_values
 
 
-def run_selftest(out: Callable[[str], None] = print) -> int:
+def run_selftest() -> int:
     """Run all suites, print one line each; returns the failure count."""
     rng = random.Random(20240901)
     ft = tables_for(8)
@@ -35,7 +34,7 @@ def run_selftest(out: Callable[[str], None] = print) -> int:
 
     def report(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
-        out(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
 
     # field tables
@@ -80,7 +79,7 @@ def run_selftest(out: Callable[[str], None] = print) -> int:
             lines.append(f"  h=8 l=0: adds {ops0.adds}/{want0[0]} muls {ops0.muls}/{want0[1]}")
     report("operation counts", ok, "closed forms for h up to 256")
     for line in lines:
-        out(line)
+        print(line)
 
     # derivative: the two methods agree and stay within the budget
     ok = True
@@ -130,6 +129,6 @@ def run_selftest(out: Callable[[str], None] = print) -> int:
     report("codec", ok, "BatchCodec (256,k), k in {2,64,128}: 5 loss patterns "
            "decode, stripes 0 and 7 equal naive evaluation")
 
-    out("selftest: all suites passed" if failures == 0
-        else f"selftest: {failures} suite(s) FAILED")
+    print("selftest: all suites passed" if failures == 0
+          else f"selftest: {failures} suite(s) FAILED")
     return failures

@@ -180,12 +180,13 @@ def test_criterion_8_timing_scaled():
     # encode under 5 s and decode under 10 s at n = 2^16, rate 1/2,
     # with 2^15 random erasures
     result = run_bench(r=16, k=1 << 15, seed=1008)
-    ok = result.encode_s < 5.0 and result.decode_s < 10.0
+    encode_s, decode_s = result["encode_s"], result["decode_s"]
+    ok = encode_s < 5.0 and decode_s < 10.0
     line = (f"criterion  8 {'PASS' if ok else 'FAIL'}  n=65536 k=32768: "
-            f"encode {result.encode_s:.2f}s (<5s), decode {result.decode_s:.2f}s (<10s)")
+            f"encode {encode_s:.2f}s (<5s), decode {decode_s:.2f}s (<10s)")
     print("\n" + line)
-    assert result.encode_s < 5.0, f"encode took {result.encode_s:.2f}s"
-    assert result.decode_s < 10.0, f"decode took {result.decode_s:.2f}s"
+    assert encode_s < 5.0, f"encode took {encode_s:.2f}s"
+    assert decode_s < 10.0, f"decode took {decode_s:.2f}s"
 
 
 def test_criterion_9_speedup_substitution():

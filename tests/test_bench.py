@@ -37,7 +37,7 @@ PINNED = {
 def test_run_bench_op_counts_are_pinned():
     for (r, k), want in PINNED.items():
         result = run_bench(r, k, seed=0)
-        assert (result.adds, result.muls) == want, (r, k)
+        assert (result["adds"], result["muls"]) == want, (r, k)
 
 
 def _setup_code() -> str:

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import random
+import signal
 import stat
 import subprocess
 import sys
@@ -514,23 +515,41 @@ def test_small_k_round_trip(tmp_path):
     assert out.read_bytes() == data
 
 
+def test_main_in_process_keeps_the_callers_sigterm_handler(tmp_path):
+    # only run(), the entry point, turns SIGTERM into SystemExit
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        data = random.Random(145).randbytes(1000)
+        outdir = _encode(tmp_path, data, k=16)
+        os.remove(outdir / shard_filename(3))  # a repair
+        out = tmp_path / "out.bin"
+        assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def test_bench_smoke(capsys):
     assert main(["bench", "--r", "8", "--k", "16", "--size", "64"]) == 0
-    out = capsys.readouterr().out
-    assert "n,k,encode_s,decode_s,adds,muls" in out
-    line = out.strip().splitlines()[-1]
-    assert line.startswith("256,16,")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert list(result) == ["r", "n", "k", "stripes", "erasures", "encode_s", "decode_s",
+                            "adds", "muls"]
+    assert (result["n"], result["k"], result["stripes"], result["erasures"]) == (256, 16, 4, 240)
 
 
 def test_bench_deterministic_op_counts(capsys):
-    lines = []
+    runs = []
     for _ in range(2):
         assert main(["bench", "--r", "8", "--k", "32", "--seed", "5"]) == 0
-        lines.append(capsys.readouterr().out.strip().splitlines()[-1])
-    a = lines[0].split(",")
-    b = lines[1].split(",")
-    assert a[0] == b[0] and a[1] == b[1]
-    assert a[4:] == b[4:]  # identical add/mul counts across runs
+        result = json.loads(capsys.readouterr().out)
+        runs.append([result[key] for key in ("n", "k", "stripes", "adds", "muls")])
+    assert runs[0] == runs[1]  # identical add/mul counts across runs
 
 
 def test_selftest_command_passes(capsys):

@@ -5,6 +5,7 @@ session of its own, so that any process of the run still alive after
 it ends can be found by its session id.
 """
 
+import contextlib
 import os
 import random
 import signal
@@ -31,6 +32,16 @@ from binfec.cli import main
 sys.exit(main(sys.argv[2:]))
 """
 
+# the same through run(), the entry point of `python -m binfec.cli`
+_RUN_ENTRY = """\
+import sys
+import binfec.shardfile
+binfec.shardfile.CHUNK_BYTES = int(sys.argv[1])
+from binfec.cli import run
+del sys.argv[1]
+run()
+"""
+
 
 def _alive_in_session(sid):
     """Processes of session sid that have not ended (zombies excluded)."""
@@ -50,11 +61,11 @@ def _alive_in_session(sid):
     return alive
 
 
-def _start(cpus, *args, chunk=None, patch=""):
+def _start(cpus, *args, chunk=None, patch="", script=_RUN):
     """Start the CLI pinned to cpus (None: unpinned), in a session of its own."""
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     return subprocess.Popen(
-        [sys.executable, "-c", patch + _RUN, str(chunk or shardfile.CHUNK_BYTES),
+        [sys.executable, "-c", patch + script, str(chunk or shardfile.CHUNK_BYTES),
          *map(str, args)], env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, start_new_session=True, preexec_fn=pin)
 
@@ -224,3 +235,53 @@ def test_workers_of_a_killed_encode_stop(tmp_path):
     finally:
         proc.stdout.close()
         proc.stderr.close()
+
+
+# Shard.read, patched in the run: each process marks its first payload
+# read with a file named by its pid in MARKS, then sleeps a minute
+# there unless it is killed
+_MARK_AND_SLEEP = """\
+import os, time
+import binfec.shardfile as shardfile
+read = shardfile.Shard.read
+def sleeping_read(self, offset, size):
+    mark = os.path.join(MARKS, str(os.getpid()))
+    if size and not os.path.exists(mark):
+        open(mark, "w").close()
+        time.sleep(60)
+    return read(self, offset, size)
+shardfile.Shard.read = sleeping_read
+"""
+
+
+def test_a_decode_stopped_by_sigterm_leaves_no_temporary_file_or_worker(tmp_path):
+    _, two = _one_and_two()
+    data = random.Random(144).randbytes(shardfile.CHUNK_BYTES + 100)  # two windows at k=16
+    src, shards, out = tmp_path / "in.bin", tmp_path / "shards", tmp_path / "out" / "o.bin"
+    marks = tmp_path / "marks"
+    src.write_bytes(data)
+    out.parent.mkdir()
+    marks.mkdir()
+    out.write_bytes(b"old bytes")
+    _ok(two, "encode", "--in", src, "--out", shards, "--k", 16)
+    os.remove(shards / shard_filename(3))  # a repair
+    proc = _start(two, "decode", "--shards", shards, "--out", out,
+                  patch=f"MARKS = {str(marks)!r}\n" + _MARK_AND_SLEEP, script=_RUN_ENTRY)
+    try:
+        deadline = time.monotonic() + 60
+        while len(os.listdir(marks)) < 2:  # both processes are inside a window
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while _alive_in_session(proc.pid):
+            assert time.monotonic() < deadline, _alive_in_session(proc.pid)
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate(timeout=60)
+    assert os.listdir(out.parent) == ["o.bin"]  # no temporary file
+    assert out.read_bytes() == b"old bytes"
+
