@@ -2,9 +2,9 @@
 
 The public surface, bottom up: field tables (`tables_for`), the
 evaluation basis (`build_basis_tables`), the basis transform and
-polynomial ops (`forward`, `inverse`, `poly_mul`, `degree`), the
-formal derivative, the Walsh-Hadamard erasure locator, and the
-systematic codec (`encode`, `decode`).  The CLI in
+polynomial ops on lists of symbols (`forward`, `inverse`, `poly_mul`,
+`degree`), the formal derivative, the Walsh-Hadamard erasure locator,
+and the systematic codec (`encode`, `decode`).  The CLI in
 `binfec.cli` wraps the codec for whole files.
 """
 
@@ -20,8 +20,7 @@ _EXPORTS = {
     "field": ["DEFAULT_POLY", "FieldTables", "SYMBOL_DTYPE", "tables_for"],
     "rs": ["Codeword", "ErasurePattern", "decode", "encode"],
     "shardfile": ["CodeParams"],
-    "transform": ["CoeffVec", "EvalVec", "OpCounter", "degree", "forward", "inverse",
-                  "poly_mul"],
+    "transform": ["OpCounter", "degree", "forward", "inverse", "poly_mul"],
     "walsh": ["fwht", "locator_values"],
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}

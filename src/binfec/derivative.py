@@ -11,7 +11,8 @@ multiplications per coefficient; it is the reference the tests hold
 the fast method to.  derivative_fast() folds the W'_l factors into the
 subset products B_i precomputed in BasisTables: scaling the inputs by
 B_i first makes every inner sum factor-free, and one multiply by 1/B_j
-finishes each output, for at most 2h multiplications total.  It is the
+finishes each output, for at most 2h multiplications total.  Both
+take and return a list of h coefficients: derivative_fast() is the
 one-column view of derivative_rows(), which differentiates every
 column of an (h x stripes) array at once with the same row kernel the
 transform uses, so like the transform it takes a power-of-two length
@@ -27,13 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import BasisTables
-from .transform import CoeffVec, OpCounter, check_in_place, column, mul_rows
+from .transform import OpCounter, check_in_place, column, mul_rows
 
 
-def derivative_direct(bt: BasisTables, coeffs: CoeffVec) -> CoeffVec:
+def derivative_direct(bt: BasisTables, coeffs: list[int]) -> list[int]:
     """Derivative by the direct per-coefficient formula."""
-    d = coeffs.data
-    h = len(d)
+    h = len(coeffs)
     levels = h.bit_length() - 1
     mul = bt.ft.mul
     w_prime = bt.w_prime
@@ -44,16 +44,16 @@ def derivative_direct(bt: BasisTables, coeffs: CoeffVec) -> CoeffVec:
             if j >> l & 1:
                 continue
             src = j + (1 << l)
-            if src < h and d[src]:
-                acc ^= mul(w_prime[l], d[src])
+            if src < h and coeffs[src]:
+                acc ^= mul(w_prime[l], coeffs[src])
         out[j] = acc
-    return CoeffVec(out)
+    return out
 
 
-def derivative_fast(bt: BasisTables, coeffs: CoeffVec,
-                    ops: OpCounter | None = None) -> CoeffVec:
+def derivative_fast(bt: BasisTables, coeffs: list[int],
+                    ops: OpCounter | None = None) -> list[int]:
     """Derivative via pre/post scaling; at most 2h multiplications."""
-    return CoeffVec(derivative_rows(bt, column(bt, coeffs.data), ops)[:, 0].tolist())
+    return derivative_rows(bt, column(bt, coeffs), ops)[:, 0].tolist()
 
 
 def derivative_rows(bt: BasisTables, a: np.ndarray,

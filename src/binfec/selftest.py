@@ -21,7 +21,7 @@ from .basis import build_basis_tables
 from .batch import BatchCodec, CodeParams
 from .derivative import derivative_direct, derivative_fast
 from .field import tables_for
-from .transform import CoeffVec, EvalVec, OpCounter, forward, inverse
+from .transform import OpCounter, forward, inverse
 from .walsh import locator_values
 
 
@@ -53,10 +53,9 @@ def run_selftest() -> int:
         for _ in range(4):
             d = [rng.randrange(256) for _ in range(h)]
             l = rng.randrange(256)
-            ev = forward(bt, CoeffVec(d), l)
-            ok = ok and all(ev.data[c] == bt.eval_poly_naive(d, c ^ l)
-                            for c in range(h))
-            ok = ok and inverse(bt, ev).data == d
+            ev = forward(bt, d, l)
+            ok = ok and all(ev[c] == bt.eval_poly_naive(d, c ^ l) for c in range(h))
+            ok = ok and inverse(bt, ev, l) == d
     report("transform", ok, "matches naive evaluation and round-trips, h <= 64")
 
     # operation counts against closed forms
@@ -64,7 +63,7 @@ def run_selftest() -> int:
     lines = []
     for h in (2, 4, 8, 16, 32, 64, 128, 256):
         lg = h.bit_length() - 1
-        d = CoeffVec([rng.randrange(256) for _ in range(h)])
+        d = [rng.randrange(256) for _ in range(h)]
         ops = OpCounter()
         forward(bt, d, h % 256 or 255, ops)
         want = (h * lg, h // 2 * lg)
@@ -85,10 +84,10 @@ def run_selftest() -> int:
     ok = True
     for h in (2, 8, 64, 256):
         for _ in range(4):
-            d = CoeffVec([rng.randrange(256) for _ in range(h)])
+            d = [rng.randrange(256) for _ in range(h)]
             ops = OpCounter()
             fast = derivative_fast(bt, d, ops)
-            ok = ok and fast.data == derivative_direct(bt, d).data
+            ok = ok and fast == derivative_direct(bt, d)
             ok = ok and ops.muls <= 2 * h
     report("derivative", ok, "direct and two-step methods agree, <= 2h muls")
 
@@ -116,7 +115,7 @@ def run_selftest() -> int:
         ok = ok and (enc[:k] == msgs).all()
         for s in (0, 7):
             # the coefficients are pinned by their values at the k message points
-            coeffs = inverse(bt, EvalVec(msgs[:, s].tolist())).data
+            coeffs = inverse(bt, msgs[:, s].tolist())
             ok = ok and [bt.eval_poly_naive(coeffs, j) for j in range(256)] == enc[:, s].tolist()
         # three random patterns (random survivors), all parity, the first n - k
         patterns = [set(rng.sample(range(256), 256 - k)) for _ in range(3)]

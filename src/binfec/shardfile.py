@@ -348,16 +348,18 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
     system.  The consensus is the encoding (code and original length,
     the header with index 0) that most readable headers carry; a tie goes
     to the first file in path order.  A shard of another encoding, with
-    the wrong payload size, named shard-NNNNN.lchs but holding another
-    index, or repeating an index counts as missing.  The k lowest-index
-    usable shards are then chosen: every data shard when all are
-    present, else the data shards present and the lowest parity shards.
-    Each is opened to check its header and size again, and one that
-    changed since its header was read is skipped, the next usable shard
-    taking its place.  Usable shards left unchosen are erasures to the
-    decoder, which stays within its n - k capacity.  No payload byte is
-    read here: a decode reads the chosen shards a window at a time with
-    Shard.read.
+    the wrong payload size, or named shard-NNNNN.lchs but holding another
+    index counts as missing.  So does every file whose index another
+    usable file also claims, with a note that names the others: headers
+    cannot tell the real shard from a foreign one, so that index is an
+    erasure.  The k lowest-index usable shards are then chosen: every
+    data shard when all are present, else the data shards present and
+    the lowest parity shards.  Each is opened to check its header and
+    size again, and one that changed since its header was read is
+    skipped, the next usable shard taking its place.  Usable shards left
+    unchosen are erasures to the decoder, which stays within its n - k
+    capacity.  No payload byte is read here: a decode reads the chosen
+    shards a window at a time with Shard.read.
 
     Returns the consensus header (shard_index zeroed), a map from shard
     index to its Shard for the chosen shards in index order (all usable
@@ -377,7 +379,7 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
     # max returns the first of equal counts, and a Counter keeps first-seen
     # order; most_common(1) would do the same but imports heapq
     consensus = max(counts, key=counts.get)
-    usable: dict[int, tuple[str, ShardHeader]] = {}
+    claims: dict[int, list[tuple[str, ShardHeader]]] = {}
     for path, header, size in headers:
         if header._replace(shard_index=0) != consensus:
             skipped.append(f"{path}: header disagrees with other shards")
@@ -392,10 +394,15 @@ def read_shards(paths: list[str]) -> tuple[ShardHeader, dict[int, Shard], list[s
                 and int(stem) != header.shard_index:
             skipped.append(f"{path}: header says shard index {header.shard_index}")
             continue
-        if header.shard_index in usable:
-            skipped.append(f"{path}: duplicate shard index {header.shard_index}")
+        claims.setdefault(header.shard_index, []).append((path, header))
+    usable: dict[int, tuple[str, ShardHeader]] = {}
+    for index, found in claims.items():
+        if len(found) == 1:
+            usable[index] = found[0]
             continue
-        usable[header.shard_index] = path, header
+        for path, _ in found:
+            others = ", ".join(other for other, _ in found if other != path)
+            skipped.append(f"{path}: duplicate shard index {index}, also claimed by {others}")
     chosen: dict[int, Shard] = {}
     for index in sorted(usable):
         if len(chosen) == consensus.code.k:

@@ -18,7 +18,8 @@ whole rows sharing one factor.  At shift 0, block 0's factor is
 W_i(0) = 0 at every level, so that block's multiply is skipped and only
 its v += u runs.  The array must be C-contiguous,
 so that each reshape is a view of it.  forward() and inverse() are
-their one-column view, list in and list out.
+their one-column view, list in and list out; each takes the shift of
+the evaluation points.  degree() and poly_mul() also work on lists.
 
 Symbols are SYMBOL_DTYPE[r]: uint8 at r=8, uint16 at r=16.  The kernels
 reject rows of any other dtype before writing anything, and column() is
@@ -66,27 +67,6 @@ _PIECE = 1 << 16
 
 
 @dataclass
-class CoeffVec:
-    """Basis-domain coefficients; length must be a power of two."""
-
-    data: list[int]
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
-@dataclass
-class EvalVec:
-    """Evaluations at points indexed c ^ shift, c = 0..h-1."""
-
-    data: list[int]
-    shift: int = 0
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-
-@dataclass
 class OpCounter:
     """Running totals of field additions and multiplications."""
 
@@ -115,20 +95,20 @@ def column(bt: BasisTables, data: list[int], shift: int = 0) -> np.ndarray:
     return a.astype(SYMBOL_DTYPE[bt.ft.r])
 
 
-def forward(bt: BasisTables, coeffs: CoeffVec, shift: int = 0,
-            ops: OpCounter | None = None) -> EvalVec:
+def forward(bt: BasisTables, coeffs: list[int], shift: int = 0,
+            ops: OpCounter | None = None) -> list[int]:
     """Transform coefficients into evaluations at points c ^ shift."""
-    a = column(bt, coeffs.data, shift)
+    a = column(bt, coeffs, shift)
     forward_rows(bt, a, shift, ops)
-    return EvalVec(a[:, 0].tolist(), shift)
+    return a[:, 0].tolist()
 
 
-def inverse(bt: BasisTables, evals: EvalVec,
-            ops: OpCounter | None = None) -> CoeffVec:
-    """Recover the coefficients whose forward transform is `evals`."""
-    a = column(bt, evals.data, evals.shift)
-    inverse_rows(bt, a, evals.shift, ops)
-    return CoeffVec(a[:, 0].tolist())
+def inverse(bt: BasisTables, evals: list[int], shift: int = 0,
+            ops: OpCounter | None = None) -> list[int]:
+    """Recover the coefficients whose forward transform at `shift` is `evals`."""
+    a = column(bt, evals, shift)
+    inverse_rows(bt, a, shift, ops)
+    return a[:, 0].tolist()
 
 
 def mul_rows(ft: FieldTables, v: np.ndarray, factors: np.ndarray,
@@ -231,32 +211,31 @@ def inverse_rows(bt: BasisTables, a: np.ndarray, shift: int = 0,
         mul_rows(bt.ft, v[z:], factors[z:], add_to=u[z:])
 
 
-def degree(coeffs: CoeffVec) -> int | None:
+def degree(coeffs: list[int]) -> int | None:
     """Largest index with a nonzero coefficient; None for the zero vector.
 
     Valid because the i-th basis polynomial has degree exactly i.
     """
-    for j in range(len(coeffs.data) - 1, -1, -1):
-        if coeffs.data[j]:
+    for j in range(len(coeffs) - 1, -1, -1):
+        if coeffs[j]:
             return j
     return None
 
 
-def poly_mul(bt: BasisTables, a: CoeffVec, b: CoeffVec) -> CoeffVec:
+def poly_mul(bt: BasisTables, a: list[int], b: list[int]) -> list[int]:
     """Product of two basis-domain polynomials, returned at twice the size.
 
     Both inputs are zero-extended to 2h, transformed, multiplied
     pointwise, and inverse-transformed.  Exact whenever the product
     degree fits, which holds for any pair of size-h inputs.
     """
-    h = len(a.data)
-    if len(b.data) != h:
+    h = len(a)
+    if len(b) != h:
         raise ValueError("poly_mul operands must have equal length")
     h2 = 2 * h
     if h2 > bt.max_h:
         raise ValueError(f"product size {h2} exceeds table capacity {bt.max_h}")
-    ea = forward(bt, CoeffVec(a.data + [0] * h), 0)
-    eb = forward(bt, CoeffVec(b.data + [0] * h), 0)
+    ea = forward(bt, a + [0] * h)
+    eb = forward(bt, b + [0] * h)
     mul = bt.ft.mul
-    prod = EvalVec([mul(x, y) for x, y in zip(ea.data, eb.data)], 0)
-    return inverse(bt, prod)
+    return inverse(bt, [mul(x, y) for x, y in zip(ea, eb)])

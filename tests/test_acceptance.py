@@ -16,15 +16,7 @@ from binfec.bench import run_bench
 from binfec.cli import main as cli_main
 from binfec.derivative import derivative_direct, derivative_fast
 from binfec.rs import CodeParams, ErasurePattern, decode, encode
-from binfec.transform import (
-    CoeffVec,
-    EvalVec,
-    OpCounter,
-    degree,
-    forward,
-    inverse,
-    poly_mul,
-)
+from binfec.transform import OpCounter, degree, forward, inverse, poly_mul
 from binfec.walsh import locator_values
 
 from oracles import LocatorOracle, NaiveEvaluator, mono_derivative, mono_eval, x_monomial
@@ -60,7 +52,7 @@ def test_criterion_1_transform_oracle_equivalence(bt8, naive8):
             for _ in range(100):
                 d = [rng.randrange(256) for _ in range(h)]
                 shift = rng.randrange(256)
-                got = forward(bt8, CoeffVec(d), shift).data
+                got = forward(bt8, d, shift)
                 want = naive8.eval_at(d, [c ^ shift for c in range(h)])
                 assert got == want
 
@@ -72,9 +64,9 @@ def test_criterion_2_round_trips(bt8):
             h = 1 << rng.randrange(0, 9)
             shift = rng.choice([0, rng.randrange(256)])
             d = [rng.randrange(256) for _ in range(h)]
-            assert inverse(bt8, forward(bt8, CoeffVec(d), shift)).data == d
-            ev = EvalVec([rng.randrange(256) for _ in range(h)], shift)
-            assert forward(bt8, inverse(bt8, ev), shift).data == ev.data
+            assert inverse(bt8, forward(bt8, d, shift), shift) == d
+            ev = [rng.randrange(256) for _ in range(h)]
+            assert forward(bt8, inverse(bt8, ev, shift), shift) == ev
 
 
 def test_criterion_3_operation_counts(bt8, bt16):
@@ -82,13 +74,13 @@ def test_criterion_3_operation_counts(bt8, bt16):
     with criterion(3, "operation counts equal closed forms, h in {2..4096}", 5.0):
         for lg in range(1, 13):
             h = 1 << lg
-            d = CoeffVec([rng.randrange(1 << 16) for _ in range(h)])
+            d = [rng.randrange(1 << 16) for _ in range(h)]
             ops, ops0 = OpCounter(), OpCounter()
             forward(bt16, d, h, ops)  # shift outside the point set
             assert (ops.adds, ops.muls) == (h * lg, h // 2 * lg)
             forward(bt16, d, 0, ops0)
             assert (ops0.adds, ops0.muls) == (h * lg - h + 1, h // 2 * lg - h + 1)
-        spot = CoeffVec([rng.randrange(256) for _ in range(8)])
+        spot = [rng.randrange(256) for _ in range(8)]
         ops, ops0 = OpCounter(), OpCounter()
         forward(bt8, spot, 8, ops)
         assert (ops.adds, ops.muls) == (24, 12)
@@ -103,9 +95,8 @@ def test_criterion_4_derivative_correctness(bt8, ft8):
         for lg in range(1, 9):
             h = 1 << lg
             for _ in range(100):
-                d = CoeffVec([rng.randrange(256) for _ in range(h)])
-                assert (derivative_fast(bt8, d).data
-                        == derivative_direct(bt8, d).data)
+                d = [rng.randrange(256) for _ in range(h)]
+                assert derivative_fast(bt8, d) == derivative_direct(bt8, d)
         # monomial-expansion oracle for h <= 64, evaluated at 64 points
         xm = [x_monomial(bt8, i) for i in range(64)]
         mul = ft8.mul
@@ -113,7 +104,7 @@ def test_criterion_4_derivative_correctness(bt8, ft8):
             h = 1 << lg
             for _ in range(100):
                 d = [rng.randrange(256) for _ in range(h)]
-                got = derivative_fast(bt8, CoeffVec(d)).data
+                got = derivative_fast(bt8, d)
                 mono = [0] * h
                 for i, di in enumerate(d):
                     if di:
@@ -132,7 +123,7 @@ def test_criterion_5_derivative_multiplication_budget(bt8):
         for lg in range(1, 9):
             h = 1 << lg
             for _ in range(50):
-                d = CoeffVec([rng.randrange(256) for _ in range(h)])
+                d = [rng.randrange(256) for _ in range(h)]
                 ops = OpCounter()
                 derivative_fast(bt8, d, ops)
                 assert ops.muls <= 2 * h
@@ -227,13 +218,13 @@ def test_criterion_11_poly_mul(bt8, ft8, naive8):
         for _ in range(100):
             a = [rng.randrange(256) for _ in range(8)]
             b = [rng.randrange(256) for _ in range(8)]
-            prod = poly_mul(bt8, CoeffVec(a), CoeffVec(b))
+            prod = poly_mul(bt8, a, b)
             pts = [rng.randrange(256) for _ in range(64)]
             pa = naive8.eval_at(a, pts)
             pb = naive8.eval_at(b, pts)
-            pp = naive8.eval_at(prod.data, pts)
+            pp = naive8.eval_at(prod, pts)
             for va, vb, vp in zip(pa, pb, pp):
                 assert vp == ft8.mul(va, vb)
-            da, db = degree(CoeffVec(a)), degree(CoeffVec(b))
+            da, db = degree(a), degree(b)
             if da is not None and db is not None:
                 assert degree(prod) == da + db

@@ -449,6 +449,43 @@ def test_foreign_shard_sorting_first_is_outvoted(tmp_path, capsys):
     assert err.count("skipping") == 1
 
 
+def _foreign_claimant(tmp_path):
+    """Two 3,000-byte files' shards at k=16, and b's shard 5 in a's folder, sorting first."""
+    data = random.Random(113).randbytes(3000)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    outdir = _encode(tmp_path / "a", data, k=16)
+    other = _encode(tmp_path / "b", random.Random(114).randbytes(3000), k=16)
+    foreign = outdir / "a-foreign.lchs"
+    foreign.write_bytes((other / shard_filename(5)).read_bytes())
+    return data, outdir, foreign
+
+
+def test_every_claimant_of_a_repeated_index_is_skipped(tmp_path, capsys):
+    # the foreign header equals the real shard 5's: taken for it, the
+    # healthy decode would copy its payload out and exit 0 with wrong bytes
+    data, outdir, foreign = _foreign_claimant(tmp_path)
+    real = outdir / shard_filename(5)
+    out = tmp_path / "out.bin"
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    err = capsys.readouterr().err
+    assert f"skipping {foreign}: duplicate shard index 5, also claimed by {real}\n" in err
+    assert f"skipping {real}: duplicate shard index 5, also claimed by {foreign}\n" in err
+    assert err.count("skipping") == 2
+
+
+def test_a_repeated_index_that_leaves_fewer_than_k_shards_fails_cleanly(tmp_path, capsys):
+    data, outdir, foreign = _foreign_claimant(tmp_path)
+    for j in range(16, 256):
+        os.remove(outdir / shard_filename(j))
+    (tmp_path / "out").mkdir()
+    out = tmp_path / "out" / "out.bin"
+    assert main(["decode", "--shards", str(outdir), "--out", str(out)]) == 1
+    assert "have 15 usable shards, need at least 16" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []  # no --out, and no temporary file
+
+
 def test_encode_rejects_bad_k(tmp_path, capsys):
     src = tmp_path / "input.bin"
     src.write_bytes(b"hello")

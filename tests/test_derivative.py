@@ -9,7 +9,7 @@ from binfec import derivative
 from binfec.basis import build_basis_tables
 from binfec.derivative import derivative_direct, derivative_fast, derivative_rows
 from binfec.field import SYMBOL_DTYPE, tables_for
-from binfec.transform import CoeffVec, OpCounter, mul_rows
+from binfec.transform import OpCounter, mul_rows
 
 from oracles import basis_to_monomial, mono_derivative, mono_eval, w_direct
 
@@ -19,14 +19,14 @@ _BT8 = build_basis_tables(_FT8, 256)
 
 def test_constant_has_zero_derivative(bt8):
     for method in (derivative_direct, derivative_fast):
-        assert method(bt8, CoeffVec([9, 0, 0, 0])).data == [0, 0, 0, 0]
-        assert method(bt8, CoeffVec([0] * 16)).data == [0] * 16
+        assert method(bt8, [9, 0, 0, 0]) == [0, 0, 0, 0]
+        assert method(bt8, [0] * 16) == [0] * 16
 
 
 def test_h2_closed_form(bt8, ft8):
     d1 = 77
-    out = derivative_direct(bt8, CoeffVec([0, d1]))
-    assert out.data == [ft8.mul(bt8.w_prime[0], d1), 0]
+    out = derivative_direct(bt8, [0, d1])
+    assert out == [ft8.mul(bt8.w_prime[0], d1), 0]
 
 
 def test_h8_structure(bt8, ft8):
@@ -35,10 +35,10 @@ def test_h8_structure(bt8, ft8):
     rng = random.Random(41)
     d = [rng.randrange(256) for _ in range(8)]
     dd = [ft8.mul(di, bt8.b_prod[i]) for i, di in enumerate(d)]
-    out = derivative_fast(bt8, CoeffVec(d))
+    out = derivative_fast(bt8, d)
     want0 = ft8.mul(dd[1] ^ dd[2] ^ dd[4], bt8.b_prod_inv[0])
-    assert out.data[0] == want0
-    assert out.data[7] == 0
+    assert out[0] == want0
+    assert out[7] == 0
 
 
 def test_methods_agree_exactly(bt8):
@@ -46,8 +46,8 @@ def test_methods_agree_exactly(bt8):
     for lg in range(1, 9):
         h = 1 << lg
         for _ in range(25):
-            d = CoeffVec([rng.randrange(256) for _ in range(h)])
-            assert derivative_fast(bt8, d).data == derivative_direct(bt8, d).data
+            d = [rng.randrange(256) for _ in range(h)]
+            assert derivative_fast(bt8, d) == derivative_direct(bt8, d)
 
 
 def test_matches_monomial_oracle(bt8, ft8):
@@ -55,7 +55,7 @@ def test_matches_monomial_oracle(bt8, ft8):
     for h in (2, 4, 8, 16, 32, 64):
         for _ in range(5):
             d = [rng.randrange(256) for _ in range(h)]
-            got = derivative_fast(bt8, CoeffVec(d)).data
+            got = derivative_fast(bt8, d)
             mono = mono_derivative(basis_to_monomial(bt8, d))
             for x in (rng.randrange(256) for _ in range(16)):
                 assert bt8.eval_poly_naive(got, x) == mono_eval(ft8, mono, x)
@@ -66,11 +66,11 @@ def test_second_derivative_matches_monomial_oracle(bt8, ft8):
     for i in range(1, 4):
         d = [0] * 4
         d[i] = 1
-        once = derivative_direct(bt8, CoeffVec(d))
+        once = derivative_direct(bt8, d)
         twice = derivative_direct(bt8, once)
         mono2 = mono_derivative(mono_derivative(basis_to_monomial(bt8, d)))
         for x in range(0, 256, 7):
-            assert bt8.eval_poly_naive(twice.data, x) == mono_eval(ft8, mono2, x)
+            assert bt8.eval_poly_naive(twice, x) == mono_eval(ft8, mono2, x)
 
 
 def test_linearity(bt8):
@@ -79,9 +79,9 @@ def test_linearity(bt8):
         h = 1 << rng.randrange(1, 7)
         a = [rng.randrange(256) for _ in range(h)]
         b = [rng.randrange(256) for _ in range(h)]
-        da = derivative_fast(bt8, CoeffVec(a)).data
-        db = derivative_fast(bt8, CoeffVec(b)).data
-        dab = derivative_fast(bt8, CoeffVec([x ^ y for x, y in zip(a, b)])).data
+        da = derivative_fast(bt8, a)
+        db = derivative_fast(bt8, b)
+        dab = derivative_fast(bt8, [x ^ y for x, y in zip(a, b)])
         assert dab == [x ^ y for x, y in zip(da, db)]
 
 
@@ -90,7 +90,7 @@ def test_multiplication_budget(bt8):
     for lg in range(1, 9):
         h = 1 << lg
         for _ in range(10):
-            d = CoeffVec([rng.randrange(256) for _ in range(h)])
+            d = [rng.randrange(256) for _ in range(h)]
             ops = OpCounter()
             derivative_fast(bt8, d, ops)
             assert ops.muls <= 2 * h
@@ -103,9 +103,9 @@ def test_operation_counts_exact(bt8):
     for lg in range(9):
         h = 1 << lg
         for density in (0.0, 0.1, 1.0):
-            d = CoeffVec([rng.randrange(1, 256) if rng.random() < density else 0
-                          for _ in range(h)])
-            nonzero = sum(1 for v in derivative_direct(bt8, d).data if v)
+            d = [rng.randrange(1, 256) if rng.random() < density else 0
+                 for _ in range(h)]
+            nonzero = sum(1 for v in derivative_direct(bt8, d) if v)
             ops = OpCounter()
             derivative_fast(bt8, d, ops)
             assert ops.adds == h // 2 * lg - (h - 1)
@@ -116,7 +116,7 @@ def test_fast_method_takes_transform_lengths_only(bt8):
     # unlike derivative_direct, which reads any length
     for bad in ([1, 2, 3], [0] * 512, [1, 256]):
         with pytest.raises(ValueError):
-            derivative_fast(bt8, CoeffVec(bad))
+            derivative_fast(bt8, bad)
 
 
 def test_rows_match_columns(bt8):
@@ -125,7 +125,7 @@ def test_rows_match_columns(bt8):
     before = a.copy()
     got = derivative_rows(bt8, a)
     for s in range(5):
-        assert got[:, s].tolist() == derivative_direct(bt8, CoeffVec(before[:, s].tolist())).data
+        assert got[:, s].tolist() == derivative_direct(bt8, before[:, s].tolist())
 
 
 @pytest.mark.parametrize("r", (8, 16))
@@ -144,7 +144,7 @@ def test_rows_below_k_are_scaled_in_place_and_the_rest_left(bt8, bt16, r):
         assert (a[:k] == mul_rows(bt.ft, before[:k], bt.b_prod[:k])).all(), (h, k)
         assert (a[k:] == before[k:]).all(), (h, k)
         for s in sorted({0, stripes // 2, stripes - 1}):
-            want = derivative_direct(bt, CoeffVec(before[:, s].tolist())).data[:k]
+            want = derivative_direct(bt, before[:, s].tolist())[:k]
             assert got[:, s].tolist() == want, (h, k, s)
 
 
@@ -157,7 +157,7 @@ def test_first_k_outputs_match_the_direct_formula(bt8, bt16, r, sizes):
     for lg in sizes:
         h = 1 << lg
         d = [rng.randrange(bt.ft.order) for _ in range(h)]
-        want = derivative_direct(bt, CoeffVec(d)).data
+        want = derivative_direct(bt, d)
         a = np.array(d, dtype=SYMBOL_DTYPE[r]).reshape(h, 1)
         for lg_k in range(lg + 1):
             k = 1 << lg_k
@@ -207,5 +207,5 @@ def test_w_prime_constants(bt8, ft8):
 @settings(max_examples=100, deadline=None)
 def test_methods_agree_property(lg, data):
     h = 1 << lg
-    d = CoeffVec(data.draw(st.lists(st.integers(0, 255), min_size=h, max_size=h)))
-    assert derivative_fast(_BT8, d).data == derivative_direct(_BT8, d).data
+    d = data.draw(st.lists(st.integers(0, 255), min_size=h, max_size=h))
+    assert derivative_fast(_BT8, d) == derivative_direct(_BT8, d)

@@ -3,12 +3,18 @@
 The property: after any sequence of structural damage to an encode's
 shard directory, `decode` returns 0 with the exact input at --out, or
 returns nonzero with no --out and no temporary file beside it; it never
-raises.  Damage to a payload byte is left out: a shard whose header is
-intact and whose payload is wrong still decodes to wrong bytes with
-exit 0, the open silent-corruption defect.  For the same reason the
-foreign encode is of a file one byte longer, so its headers disagree
-with the real ones: a foreign shard with a matching header differs from
-a real one in its payload alone.
+raises.  A stray copy of a shard repeats its index, so the decode skips
+every file that claims that index and repairs it as an erasure.  In
+about half the examples a last step deletes every file but 0 to 20 of
+them, so that some examples keep fewer than k usable shards and must
+fail.
+
+Damage to a payload byte is left out: a shard whose header is intact
+and whose payload is wrong still decodes to wrong bytes with exit 0,
+the open silent-corruption defect.  For the same reason the foreign
+encode is of a file one byte longer, so its headers disagree with the
+real ones: a foreign shard with a matching header, in place of a
+missing shard, differs from the real one in its payload alone.
 """
 
 import os
@@ -95,10 +101,13 @@ def _damage(shards: str, foreign: str, step: tuple, number: int) -> None:
             fh.write(bytes([byte ^ rest[1]]))
 
 
+# keep's integers come first, so Hypothesis's first example, its simplest,
+# deletes every file and must fail
 @given(k=st.sampled_from([1, 2, 4, 16]), size=st.integers(0, 3000), seed=st.integers(0, 2**32),
-       foreign_k=st.sampled_from([1, 2, 4, 16]), steps=st.lists(_STEP, max_size=6))
+       foreign_k=st.sampled_from([1, 2, 4, 16]), steps=st.lists(_STEP, max_size=6),
+       keep=st.integers(0, 20) | st.none())
 @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
-def test_decode_is_exact_or_fails_cleanly(k, size, seed, foreign_k, steps):
+def test_decode_is_exact_or_fails_cleanly(k, size, seed, foreign_k, steps, keep):
     rng = random.Random(seed)
     data = rng.randbytes(size)
     with tempfile.TemporaryDirectory() as work:
@@ -111,6 +120,11 @@ def test_decode_is_exact_or_fails_cleanly(k, size, seed, foreign_k, steps):
         shards = os.path.join(ours, "shards")
         for number, step in enumerate(steps):
             _damage(shards, os.path.join(theirs, "shards"), step, number)
+        if keep is not None:  # the last step: delete every file but `keep` of them
+            files = sorted(name for name in os.listdir(shards)
+                           if os.path.isfile(os.path.join(shards, name)))
+            for name in set(files) - set(rng.sample(files, min(keep, len(files)))):
+                os.remove(os.path.join(shards, name))
 
         out_dir = os.path.join(work, "out")
         os.mkdir(out_dir)

@@ -12,8 +12,6 @@ from binfec.batch import BatchCodec, CodeParams
 from binfec.derivative import derivative_rows
 from binfec.field import DEFAULT_POLY, SYMBOL_DTYPE, tables_for
 from binfec.transform import (
-    CoeffVec,
-    EvalVec,
     OpCounter,
     degree,
     forward,
@@ -32,14 +30,14 @@ _BT8 = build_basis_tables(_FT8, 256)
 def test_zero_vector_transforms_to_zero(bt8):
     for h in (1, 4, 32):
         for l in (0, 7, 200):
-            assert forward(bt8, CoeffVec([0] * h), l).data == [0] * h
+            assert forward(bt8, [0] * h, l) == [0] * h
 
 
 def test_h1_is_identity(bt8):
     for l in (0, 1, 255):
-        ev = forward(bt8, CoeffVec([123]), l)
-        assert ev.data == [123]
-        assert inverse(bt8, ev).data == [123]
+        ev = forward(bt8, [123], l)
+        assert ev == [123]
+        assert inverse(bt8, ev, l) == [123]
 
 
 def test_forward_matches_naive_oracle(bt8):
@@ -48,9 +46,9 @@ def test_forward_matches_naive_oracle(bt8):
         for _ in range(10):
             d = [rng.randrange(256) for _ in range(h)]
             l = rng.choice([0, 8, rng.randrange(256)])
-            ev = forward(bt8, CoeffVec(d), l)
+            ev = forward(bt8, d, l)
             for c in range(h):
-                assert ev.data[c] == bt8.eval_poly_naive(d, c ^ l)
+                assert ev[c] == bt8.eval_poly_naive(d, c ^ l)
 
 
 def test_round_trip_both_directions(bt8):
@@ -59,23 +57,23 @@ def test_round_trip_both_directions(bt8):
         h = 1 << rng.randrange(0, 9)
         l = rng.randrange(256)
         d = [rng.randrange(256) for _ in range(h)]
-        assert inverse(bt8, forward(bt8, CoeffVec(d), l)).data == d
-        ev = EvalVec([rng.randrange(256) for _ in range(h)], l)
-        back = forward(bt8, inverse(bt8, ev), l)
-        assert back.data == ev.data
+        assert inverse(bt8, forward(bt8, d, l), l) == d
+        ev = [rng.randrange(256) for _ in range(h)]
+        back = forward(bt8, inverse(bt8, ev, l), l)
+        assert back == ev
 
 
 def test_inverse_of_zero_evaluations_is_zero(bt8):
-    assert inverse(bt8, EvalVec([0] * 16, 5)).data == [0] * 16
+    assert inverse(bt8, [0] * 16, 5) == [0] * 16
 
 
 def test_inverse_reproduces_evaluations_under_oracle(bt8):
     # coefficients recovered from arbitrary h=8 values re-evaluate to them
     rng = random.Random(33)
     vals = [rng.randrange(256) for _ in range(8)]
-    coeffs = inverse(bt8, EvalVec(vals, 0))
+    coeffs = inverse(bt8, vals, 0)
     for c in range(8):
-        assert bt8.eval_poly_naive(coeffs.data, c) == vals[c]
+        assert bt8.eval_poly_naive(coeffs, c) == vals[c]
 
 
 def test_linearity_in_coefficients(bt8):
@@ -85,9 +83,9 @@ def test_linearity_in_coefficients(bt8):
         l = rng.randrange(256)
         a = [rng.randrange(256) for _ in range(h)]
         b = [rng.randrange(256) for _ in range(h)]
-        fa = forward(bt8, CoeffVec(a), l).data
-        fb = forward(bt8, CoeffVec(b), l).data
-        fab = forward(bt8, CoeffVec([x ^ y for x, y in zip(a, b)]), l).data
+        fa = forward(bt8, a, l)
+        fb = forward(bt8, b, l)
+        fab = forward(bt8, [x ^ y for x, y in zip(a, b)], l)
         assert fab == [x ^ y for x, y in zip(fa, fb)]
 
 
@@ -97,9 +95,9 @@ def test_block_shifts_agree_with_full_length_transform(bt8):
     rng = random.Random(35)
     for h in (2, 8, 32, 64):
         d = [rng.randrange(256) for _ in range(h)]
-        full = forward(bt8, CoeffVec(d + [0] * (256 - h)), 0).data
+        full = forward(bt8, d + [0] * (256 - h), 0)
         for l in range(0, 256, h):
-            block = forward(bt8, CoeffVec(d), l).data
+            block = forward(bt8, d, l)
             for c in range(h):
                 assert block[c] == full[c ^ l]
 
@@ -108,7 +106,7 @@ def test_operation_counts_match_closed_forms(bt8):
     rng = random.Random(36)
     for lg in range(1, 9):
         h = 1 << lg
-        d = CoeffVec([rng.randrange(256) for _ in range(h)])
+        d = [rng.randrange(256) for _ in range(h)]
         shift = h if h < 256 else 255  # outside the point set either way
         ops, ops0 = OpCounter(), OpCounter()
         forward(bt8, d, shift, ops)
@@ -118,13 +116,13 @@ def test_operation_counts_match_closed_forms(bt8):
 
 
 def test_operation_count_spot_values(bt8):
-    d = CoeffVec(list(range(1, 9)))
+    d = list(range(1, 9))
     ops, ops0, ops1 = OpCounter(), OpCounter(), OpCounter()
     forward(bt8, d, 8, ops)
     assert (ops.adds, ops.muls) == (24, 12)
     forward(bt8, d, 0, ops0)
     assert (ops0.adds, ops0.muls) == (17, 5)
-    forward(bt8, CoeffVec([42]), 3, ops1)
+    forward(bt8, [42], 3, ops1)
     assert (ops1.adds, ops1.muls) == (0, 0)
 
 
@@ -132,9 +130,9 @@ def test_inverse_counts_match_forward(bt8):
     rng = random.Random(37)
     for lg in (1, 3, 6):
         h = 1 << lg
-        d = CoeffVec([rng.randrange(256) for _ in range(h)])
+        d = [rng.randrange(256) for _ in range(h)]
         fops, iops = OpCounter(), OpCounter()
-        inverse(bt8, forward(bt8, d, h, fops), iops)
+        inverse(bt8, forward(bt8, d, h, fops), h, iops)
         assert (iops.adds, iops.muls) == (fops.adds, fops.muls)
 
 
@@ -297,16 +295,16 @@ def test_mul_rows_r8_builds_no_table_and_holds_one_piece_at_a_time(ft8):
 
 
 def test_degree(bt8):
-    assert degree(CoeffVec([0, 0, 0, 0])) is None
-    assert degree(CoeffVec([7, 0, 0, 0])) == 0
-    assert degree(CoeffVec([0, 0, 0, 0, 0, 9, 0, 0])) == 5
+    assert degree([0, 0, 0, 0]) is None
+    assert degree([7, 0, 0, 0]) == 0
+    assert degree([0, 0, 0, 0, 0, 9, 0, 0]) == 5
 
 
 def test_poly_mul_zero_and_unit(bt8):
-    z = poly_mul(bt8, CoeffVec([3, 7]), CoeffVec([0, 0]))
-    assert z.data == [0, 0, 0, 0]
-    one = poly_mul(bt8, CoeffVec([1]), CoeffVec([1]))
-    assert one.data == [1, 0]
+    z = poly_mul(bt8, [3, 7], [0, 0])
+    assert z == [0, 0, 0, 0]
+    one = poly_mul(bt8, [1], [1])
+    assert one == [1, 0]
 
 
 def test_poly_mul_evaluation_consistency(bt8, ft8):
@@ -314,10 +312,10 @@ def test_poly_mul_evaluation_consistency(bt8, ft8):
     for _ in range(20):
         a = [rng.randrange(256) for _ in range(8)]
         b = [rng.randrange(256) for _ in range(8)]
-        prod = poly_mul(bt8, CoeffVec(a), CoeffVec(b))
+        prod = poly_mul(bt8, a, b)
         for x in (rng.randrange(256) for _ in range(16)):
             want = ft8.mul(bt8.eval_poly_naive(a, x), bt8.eval_poly_naive(b, x))
-            assert bt8.eval_poly_naive(prod.data, x) == want
+            assert bt8.eval_poly_naive(prod, x) == want
 
 
 def test_poly_mul_degree_additivity(bt8):
@@ -325,38 +323,38 @@ def test_poly_mul_degree_additivity(bt8):
     for _ in range(30):
         a = [rng.randrange(256) for _ in range(8)]
         b = [rng.randrange(256) for _ in range(8)]
-        da, db = degree(CoeffVec(a)), degree(CoeffVec(b))
+        da, db = degree(a), degree(b)
         if da is None or db is None:
             continue
-        assert degree(poly_mul(bt8, CoeffVec(a), CoeffVec(b))) == da + db
+        assert degree(poly_mul(bt8, a, b)) == da + db
 
 
 def test_size_and_shift_validation(bt8):
     with pytest.raises(ValueError):
-        forward(bt8, CoeffVec([1, 2, 3]), 0)  # not a power of two
+        forward(bt8, [1, 2, 3], 0)  # not a power of two
     with pytest.raises(ValueError):
-        forward(bt8, CoeffVec([0] * 512), 0)  # beyond table capacity
+        forward(bt8, [0] * 512, 0)  # beyond table capacity
     with pytest.raises(ValueError):
-        forward(bt8, CoeffVec([1, 2]), 256)  # shift outside the field
+        forward(bt8, [1, 2], 256)  # shift outside the field
     with pytest.raises(ValueError):
-        poly_mul(bt8, CoeffVec([1, 2]), CoeffVec([1, 2, 3, 4]))
+        poly_mul(bt8, [1, 2], [1, 2, 3, 4])
     with pytest.raises(ValueError):
-        poly_mul(bt8, CoeffVec([0] * 256), CoeffVec([0] * 256))
+        poly_mul(bt8, [0] * 256, [0] * 256)
 
 
 def test_symbols_outside_the_field_are_rejected(bt8):
     # numpy scalars included: a cast to uint8 would wrap 300 to 44
     with pytest.raises(ValueError):
-        forward(bt8, CoeffVec([1, 256]), 0)
+        forward(bt8, [1, 256], 0)
     with pytest.raises(ValueError):
-        inverse(bt8, EvalVec([np.uint16(300), 0], 0))
+        inverse(bt8, [np.uint16(300), 0], 0)
     with pytest.raises(ValueError):
-        forward(bt8, CoeffVec([-1, 0]), 3)
+        forward(bt8, [-1, 0], 3)
     # values that are not integers, which a cast would truncate
     with pytest.raises(ValueError):
-        forward(bt8, CoeffVec([1.5, 2]), 0)
+        forward(bt8, [1.5, 2], 0)
     with pytest.raises(ValueError):
-        inverse(bt8, EvalVec([2**70, 1], 0))
+        inverse(bt8, [2**70, 1], 0)
 
 
 def test_row_kernels_reject_arrays_they_cannot_transform_in_place(bt8):
@@ -373,7 +371,7 @@ def test_row_kernels_reject_arrays_they_cannot_transform_in_place(bt8):
     b = np.ascontiguousarray(a)
     forward_rows(bt8, b, 0)
     assert [b[:, s].tolist() for s in range(4)] == [
-        forward(bt8, CoeffVec(a[:, s].tolist()), 0).data for s in range(4)]
+        forward(bt8, a[:, s].tolist(), 0) for s in range(4)]
 
 
 @given(
@@ -385,7 +383,7 @@ def test_row_kernels_reject_arrays_they_cannot_transform_in_place(bt8):
 def test_round_trip_property(lg, shift, data):
     h = 1 << lg
     d = data.draw(st.lists(st.integers(0, 255), min_size=h, max_size=h))
-    assert inverse(_BT8, forward(_BT8, CoeffVec(d), shift)).data == d
+    assert inverse(_BT8, forward(_BT8, d, shift), shift) == d
 
 
 @given(lg=st.integers(0, 5), shift=st.integers(0, 255), data=st.data())
@@ -393,6 +391,6 @@ def test_round_trip_property(lg, shift, data):
 def test_forward_matches_oracle_property(lg, shift, data):
     h = 1 << lg
     d = data.draw(st.lists(st.integers(0, 255), min_size=h, max_size=h))
-    ev = forward(_BT8, CoeffVec(d), shift)
+    ev = forward(_BT8, d, shift)
     c = data.draw(st.integers(0, h - 1))
-    assert ev.data[c] == _BT8.eval_poly_naive(d, c ^ shift)
+    assert ev[c] == _BT8.eval_poly_naive(d, c ^ shift)
